@@ -162,14 +162,34 @@ impl ModelConfig {
     /// Total FLOPs of the prefill phase of a prompt of `prompt_len` tokens
     /// under this model's mask (token *t* attends to `attended_positions(t)`).
     pub fn prefill_flops(&self, prompt_len: usize) -> u64 {
-        let mask = self.mask();
-        (0..prompt_len).map(|t| self.token_flops(mask.attended_positions(t, prompt_len, prompt_len))).sum()
+        match self.mask() {
+            MaskKind::Causal => self.context_run_flops(0, prompt_len),
+            // A prefix mask whose prefix is the whole prompt is bidirectional
+            // over it: every prompt token attends to all `prompt_len`.
+            MaskKind::Bidirectional | MaskKind::Prefix => prompt_len as u64 * self.token_flops(prompt_len),
+        }
     }
 
     /// Total FLOPs of decoding `decode_len` tokens after a prompt of
     /// `prompt_len` tokens (each decode step attends to everything so far).
     pub fn decode_flops(&self, prompt_len: usize, decode_len: usize) -> u64 {
-        (0..decode_len).map(|t| self.token_flops(prompt_len + t + 1)).sum()
+        self.context_run_flops(prompt_len, decode_len)
+    }
+
+    /// `Σ token_flops(start + 1 ..= start + n)`, the FLOPs of `n` tokens whose
+    /// context grows by one position per token, in closed form.
+    ///
+    /// `token_flops` is affine in `attended` (a test pins this), so the sum is
+    /// `n·base + slope·(n·start + n(n+1)/2)`. The integer result equals the
+    /// per-token loop exactly, and each product below is at most the final
+    /// sum, so nothing overflows unless that loop's own sum would.
+    fn context_run_flops(&self, start: usize, n: usize) -> u64 {
+        let base = self.token_flops(0);
+        let slope = self.token_flops(1) - base;
+        let (n, start) = (n as u64, start as u64);
+        // slope · n(n+1)/2, halving whichever factor is even first.
+        let triangle = if n % 2 == 0 { slope * (n / 2) * (n + 1) } else { slope * n * n.div_ceil(2) };
+        n * base + slope * n * start + triangle
     }
 
     /// KV-cache bytes resident after prefill of `prompt_len` plus
@@ -270,7 +290,62 @@ mod tests {
         assert_eq!(m.kv_bytes_for_sequence(100, 28), 128 * m.kv_bytes_per_token());
     }
 
+    /// The per-token prefill sum the closed form replaced (the reference).
+    fn per_token_prefill_flops(m: &ModelConfig, prompt_len: usize) -> u64 {
+        let mask = m.mask();
+        (0..prompt_len).map(|t| m.token_flops(mask.attended_positions(t, prompt_len, prompt_len))).sum()
+    }
+
+    /// The per-token decode sum the closed form replaced (the reference).
+    fn per_token_decode_flops(m: &ModelConfig, prompt_len: usize, decode_len: usize) -> u64 {
+        (0..decode_len).map(|t| m.token_flops(prompt_len + t + 1)).sum()
+    }
+
+    #[test]
+    fn zoo_covers_every_mask() {
+        let masks: Vec<MaskKind> = zoo::all().iter().map(ModelConfig::mask).collect();
+        for mask in [MaskKind::Causal, MaskKind::Bidirectional, MaskKind::Prefix] {
+            assert!(masks.contains(&mask), "no zoo model has a {mask} mask");
+        }
+    }
+
+    #[test]
+    fn closed_form_flop_sums_match_at_the_edges() {
+        for m in zoo::all() {
+            for len in [0, 1, 2, 3] {
+                assert_eq!(
+                    m.prefill_flops(len),
+                    per_token_prefill_flops(&m, len),
+                    "{} prefill {len}",
+                    m.name
+                );
+                for decode in [0, 1, 2] {
+                    assert_eq!(m.decode_flops(len, decode), per_token_decode_flops(&m, len, decode));
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn closed_form_flop_sums_equal_the_per_token_sums(prompt in 0usize..5000, decode in 0usize..5000) {
+            for m in zoo::all() {
+                prop_assert_eq!(m.prefill_flops(prompt), per_token_prefill_flops(&m, prompt));
+                prop_assert_eq!(m.decode_flops(prompt, decode), per_token_decode_flops(&m, prompt, decode));
+            }
+        }
+
+        #[test]
+        fn token_flops_is_affine_in_attended(attended in 0usize..1_000_000) {
+            // The premise of the closed-form sums: a cost term that is not
+            // linear in the context length must fail here first.
+            for m in zoo::all() {
+                let base = m.token_flops(0);
+                let slope = m.token_flops(1) - base;
+                prop_assert_eq!(m.token_flops(attended), base + slope * attended as u64);
+            }
+        }
+
         #[test]
         fn stage_costs_monotone_in_context(att1 in 1usize..2048, extra in 0usize..2048) {
             let m = zoo::llama_13b();

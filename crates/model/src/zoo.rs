@@ -109,9 +109,9 @@ pub fn scaling_tax_models() -> Vec<ModelConfig> {
     vec![llama_7b(), llama_13b(), gpt_20b(), llama_32b(), llama_65b(), dense_130b()]
 }
 
-/// Looks a model up by its display name (case-insensitive).
-pub fn by_name(name: &str) -> Option<ModelConfig> {
-    let all = [
+/// Every model in the zoo, each once.
+pub fn all() -> Vec<ModelConfig> {
+    vec![
         llama_7b(),
         llama_13b(),
         gpt_20b(),
@@ -122,8 +122,12 @@ pub fn by_name(name: &str) -> Option<ModelConfig> {
         qwen_32b(),
         t5_11b(),
         bert_large(),
-    ];
-    all.into_iter().find(|m| m.name.eq_ignore_ascii_case(name))
+    ]
+}
+
+/// Looks a model up by its display name (case-insensitive).
+pub fn by_name(name: &str) -> Option<ModelConfig> {
+    all().into_iter().find(|m| m.name.eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]
@@ -175,6 +179,14 @@ mod tests {
         assert!(by_name("LLAMA-65B").is_some());
         assert!(by_name("bert-large").is_some());
         assert!(by_name("no-such-model").is_none());
+    }
+
+    #[test]
+    fn all_lists_every_model_once() {
+        let models = all();
+        for m in evaluation_models().iter().chain(&scaling_tax_models()) {
+            assert_eq!(models.iter().filter(|a| a.name == m.name).count(), 1, "{}", m.name);
+        }
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!   (token-grained schedules can exceed millions of units): the makespan is
 //!   the fill latency of the first unit plus the busy time of the bottleneck
 //!   stage. Exact when one stage dominates throughout, and a lower bound in
-//!   general; unit tests check it against [`simulate_exact`].
+//!   general; unit tests check it against [`simulate_exact`]. It takes only
+//!   per-stage totals, so its caller never walks units × stages: the
+//!   token-grained schedule builds the totals from a per-kind lookup table
+//!   over context lengths, in O(6 · max_len) stage-time evaluations plus
+//!   O(6 · total_tokens) additions (see [`crate::schedule`]).
 
 /// Exact pipeline simulation.
 ///

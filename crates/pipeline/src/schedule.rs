@@ -13,6 +13,19 @@
 //!   while attention degrades to sequence granularity; following §4.2.2 the
 //!   only extra bubbles appear when a newly scheduled sequence is longer than
 //!   every sequence before it.
+//!
+//! # Cost
+//!
+//! A stage's time depends only on its kind (six per block, the same in every
+//! block) and, per token, on the context length it attends to. So the
+//! token-grained schedules price each kind once per context length — a
+//! lookup table of `max_len` entries, where `max_len` is the trace's longest
+//! request — and add up a prefix of the table per request: O(6 · max_len)
+//! stage-time evaluations plus O(6 · total_tokens) additions, whatever the
+//! block count. The sequence-grained schedule prices each request once per
+//! kind (O(6 · requests) evaluations) before the O(requests × 6 · blocks)
+//! recurrence of [`simulate_exact`]. Both produce bit for bit the sums of
+//! pricing every token (or every request in every stage) afresh.
 
 use crate::engine::{estimate_streaming, simulate_exact};
 use crate::granularity::Granularity;
@@ -24,6 +37,9 @@ use ouro_workload::Trace;
 ///
 /// `attended` is the number of KV positions the token attends to (context
 /// length including itself); FFN-class stages ignore it.
+///
+/// Both methods must be pure functions of their arguments: the schedulers
+/// price each distinct argument once and reuse the value.
 pub trait StageTimeModel {
     /// Service time, in seconds, of one token in the given stage kind.
     fn token_time_s(&self, kind: StageKind, attended: usize) -> f64;
@@ -121,23 +137,28 @@ impl<'a, T: StageTimeModel> PipelineScheduler<'a, T> {
         self.run(trace, Granularity::finest_for(self.model))
     }
 
-    fn stage_kind(stage_index: usize) -> StageKind {
-        StageKind::ALL[stage_index % STAGES_PER_BLOCK]
-    }
-
     /// Sequence-grained: exact pipeline recurrence over requests.
+    ///
+    /// Every block repeats the same six stage kinds, so each request is
+    /// priced once per kind, not once per stage.
     fn run_sequence_grained(&self, trace: &Trace) -> PipelineReport {
         let stages = self.num_stages();
         let units = trace.len();
-        let seq_time = |unit: usize, stage: usize| -> f64 {
-            let req = &trace.requests[unit];
-            let kind = Self::stage_kind(stage);
-            // The stage first streams the prompt (context grows from 1 to
-            // prompt_len) and then the decode tokens (context keeps growing).
-            self.times.sequence_time_s(kind, req.prompt_len, 0)
-                + self.times.sequence_time_s(kind, req.decode_len, req.prompt_len)
-        };
-        let (makespan, busy) = simulate_exact(units, stages, seq_time);
+        let kind_times: Vec<[f64; STAGES_PER_BLOCK]> = trace
+            .requests
+            .iter()
+            .map(|req| {
+                // The stage first streams the prompt (context grows from 1
+                // to prompt_len) and then the decode tokens (context keeps
+                // growing).
+                StageKind::ALL.map(|kind| {
+                    self.times.sequence_time_s(kind, req.prompt_len, 0)
+                        + self.times.sequence_time_s(kind, req.decode_len, req.prompt_len)
+                })
+            })
+            .collect();
+        let (makespan, busy) =
+            simulate_exact(units, stages, |unit, stage| kind_times[unit][stage % STAGES_PER_BLOCK]);
         PipelineReport {
             makespan_s: makespan,
             stage_busy_s: Self::fold_stage_busy(&busy),
@@ -150,23 +171,28 @@ impl<'a, T: StageTimeModel> PipelineScheduler<'a, T> {
 
     /// Token-grained: streaming estimate over the token stream, with an
     /// optional extra serial bubble (used by the blocked encoder variant).
+    ///
+    /// Token *t* of a request attends to `t + 1` positions, so a stage kind's
+    /// time for it depends on `t` alone: each kind is priced once per context
+    /// length into a table, and every request adds up a prefix of it.
     fn run_token_grained(&self, trace: &Trace, extra_bubble_s: f64) -> PipelineReport {
         let stages = self.num_stages();
+        let max_len = trace.max_total_tokens();
         let mut kind_totals = [0.0f64; STAGES_PER_BLOCK];
         let mut first_token_times = [0.0f64; STAGES_PER_BLOCK];
-        let mut first = true;
-        for req in &trace.requests {
-            for t in 0..req.total_tokens() {
-                let attended = t + 1;
-                for (k, kind) in StageKind::ALL.iter().enumerate() {
-                    let time = self.times.token_time_s(*kind, attended);
+        let mut table = Vec::with_capacity(max_len);
+        for (k, &kind) in StageKind::ALL.iter().enumerate() {
+            table.clear();
+            table.extend((1..=max_len).map(|attended| self.times.token_time_s(kind, attended)));
+            // One running sum in request-then-token order: the same sequence
+            // of additions as walking the trace token by token.
+            for req in &trace.requests {
+                for &time in &table[..req.total_tokens()] {
                     kind_totals[k] += time;
-                    if first {
-                        first_token_times[k] = time;
-                    }
                 }
-                first = false;
             }
+            // The trace's first token attends to itself alone.
+            first_token_times[k] = table.first().copied().unwrap_or(0.0);
         }
         // Every block repeats the same six stage kinds and every stage of
         // every block sees every token, so each stage's total busy time is
