@@ -188,6 +188,55 @@ fn prefix_affinity_routing_reproduces_the_old_cluster_run() {
     assert_eq!(format!("{:?}", report.serving), GOLDEN_G_PREFIX_COLOCATED);
 }
 
+/// The three points the retired `experiments bench-report` gate measured:
+/// `(label, completed, sim_duration_s bits)`. The bit patterns are the
+/// decimals `BENCH_serve.json` recorded, `0.00969555356117374` for both
+/// colocated points and `0.009973051841173737` for the disaggregated one.
+const GOLDEN_H_BENCH_REPORT: [(&str, usize, u64); 3] = [
+    ("colocated", 100, 0x3f83_db43_2bb1_e25f),
+    ("colocated-traced", 100, 0x3f83_db43_2bb1_e25f),
+    ("disagg", 100, 0x3f84_6cc0_5bfe_4457),
+];
+
+/// The determinism pin of the retired bench-report gate: tiny BERT-Large,
+/// 100 × `fixed(64, 32)` at seed 2026, Poisson at 0.8 × capacity × 2 wafers,
+/// run colocated on two wafers (plain, and with tracing and telemetry
+/// armed) and disaggregated 1+1. Only `completed` and the simulated
+/// duration were ever deterministic in those rows; both are pinned here.
+#[test]
+fn bench_report_points_reproduce_the_old_gate_pin() {
+    use ouroboros::serve::{capacity_rps_estimate, ideal_latencies};
+
+    const SEED: u64 = 2026;
+    let sys = tiny_system();
+    let lengths = LengthConfig::fixed(64, 32);
+    let capacity = capacity_rps_estimate(sys.stage_times(), &lengths);
+    let (ttft, tpot) = ideal_latencies(sys.stage_times(), 64, 96);
+    let slo = SloConfig::with_slack(ttft, tpot, 10.0);
+    let trace = TraceGenerator::new(SEED).generate(&lengths, 100);
+    let t = ArrivalConfig::Poisson { rate_rps: 0.8 * capacity * 2.0 }.assign(&trace, SEED);
+    let cadence_s = (t.last_arrival_s() / 64.0).max(1e-6);
+    let points = [
+        Scenario::colocated(2).slo(slo).workload(t.clone()),
+        Scenario::colocated(2).slo(slo).workload(t.clone()).trace(true).telemetry_every(cadence_s),
+        Scenario::disaggregated(1, 1).slo(slo).workload(t),
+    ];
+    for (scenario, (label, completed, duration_bits)) in points.into_iter().zip(GOLDEN_H_BENCH_REPORT) {
+        let serving = scenario.run(&sys).unwrap().serving;
+        assert_eq!(serving.completed, completed, "{label}");
+        assert_eq!(serving.duration_s.to_bits(), duration_bits, "{label}: {:e}", serving.duration_s);
+    }
+    assert_eq!(f64::from_bits(GOLDEN_H_BENCH_REPORT[0].2), 0.00969555356117374);
+    assert_eq!(f64::from_bits(GOLDEN_H_BENCH_REPORT[2].2), 0.009973051841173737);
+    // The pin is the one the committed baseline recorded.
+    let baseline = include_str!("../BENCH_serve.json");
+    for (label, completed, bits) in GOLDEN_H_BENCH_REPORT {
+        let row = baseline.lines().find(|l| l.contains(&format!("\"label\": \"{label}\""))).unwrap();
+        assert!(row.contains(&format!("\"completed\": {completed},")), "{label}");
+        assert!(row.contains(&format!("\"sim_duration_s\": {},", f64::from_bits(bits))), "{label}");
+    }
+}
+
 // ---- JSON schema stability -----------------------------------------------
 
 /// A deliberately tiny flat-JSON parser: enough to round-trip the one
