@@ -9,26 +9,40 @@
 //! * `trace` — request-lifecycle tracing armed,
 //! * `trace+telemetry+profile` — everything on.
 //!
-//! Besides the Criterion timings, the harness asserts the zero-cost-when-
-//! disabled claim directly: the median `disabled` run must stay within
-//! noise of the median `dark` run (the two are interleaved sample for
-//! sample so drift hits both equally). The enabled variants are reported
-//! but unasserted — they are allowed to cost what they cost.
+//! The harness asserts the zero-cost-when-disabled claim directly: the
+//! median `disabled` run must stay within noise of the median `dark` run
+//! (the two are interleaved sample for sample so drift hits both equally).
+//! The enabled variants are reported as medians but unasserted — they are
+//! allowed to cost what they cost.
+//!
+//! ```text
+//! cargo bench -p ouro-bench --bench trace_overhead
+//! ```
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ouro_bench::SEED;
 use ouro_model::zoo;
 use ouro_serve::{FaultConfig, Scenario, SloConfig};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, TimedTrace, TraceGenerator};
 
+/// Timed runs per variant; every reported time is the median.
+const ROUNDS: usize = 15;
+
 /// Wall time of one closure call, in seconds.
 fn time_s(mut f: impl FnMut()) -> f64 {
     let start = Instant::now();
     f();
     start.elapsed().as_secs_f64()
+}
+
+/// Median wall time of [`ROUNDS`] calls, in seconds.
+fn median_s(mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..ROUNDS).map(|_| time_s(&mut f)).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[ROUNDS / 2]
 }
 
 fn workload() -> TimedTrace {
@@ -43,35 +57,25 @@ fn scenario(timed: &TimedTrace) -> Scenario {
         .workload(timed.clone())
 }
 
-fn bench_trace_overhead(c: &mut Criterion) {
+fn main() {
     let system = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap();
     let timed = workload();
     let cadence_s = timed.last_arrival_s() / 64.0;
 
-    let mut group = c.benchmark_group("trace_overhead");
-    group.bench_function("dark", |b| b.iter(|| black_box(scenario(&timed).run(&system).unwrap())));
-    group.bench_function("disabled", |b| b.iter(|| black_box(scenario(&timed).run_full(&system).unwrap())));
-    group.bench_function("trace", |b| {
-        b.iter(|| black_box(scenario(&timed).trace(true).run_full(&system).unwrap()))
+    let trace = median_s(|| {
+        black_box(scenario(&timed).trace(true).run_full(&system).unwrap());
     });
-    group.bench_function("trace+telemetry+profile", |b| {
-        b.iter(|| {
-            black_box(
-                scenario(&timed)
-                    .trace(true)
-                    .telemetry_every(cadence_s)
-                    .profile(true)
-                    .run_full(&system)
-                    .unwrap(),
-            )
-        })
+    let everything = median_s(|| {
+        black_box(
+            scenario(&timed).trace(true).telemetry_every(cadence_s).profile(true).run_full(&system).unwrap(),
+        );
     });
-    group.finish();
+    println!("trace_overhead/trace: {:.3} ms (median of {ROUNDS})", trace * 1e3);
+    println!("trace_overhead/trace+telemetry+profile: {:.3} ms (median of {ROUNDS})", everything * 1e3);
 
     // The zero-cost-when-disabled assertion. Interleaved rounds: each
     // round times one dark and one disabled run back to back, so clock
     // drift and cache state perturb both sides alike.
-    const ROUNDS: usize = 15;
     // Generous CI slack — a shared runner can easily jitter 2x on
     // millisecond-scale sections; a real always-on cost would show up far
     // beyond this once the medians settle.
@@ -101,10 +105,3 @@ fn bench_trace_overhead(c: &mut Criterion) {
          (dark {dark_med:.6}s, disabled {disabled_med:.6}s, ratio {ratio:.3})"
     );
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_trace_overhead
-}
-criterion_main!(benches);

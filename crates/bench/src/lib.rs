@@ -2,8 +2,10 @@
 //! rows that regenerate every table and figure of the paper's evaluation.
 //!
 //! The `experiments` binary (`cargo run -p ouro-bench --release --bin
-//! experiments -- <figure>`) prints the text tables; the Criterion benches
-//! under `benches/` time the underlying computations.
+//! experiments -- <figure>`) prints the text tables. Host-time measurement
+//! lives in the repository benchmark (`wafer-bench/`); the one bench here,
+//! `benches/trace_overhead.rs`, asserts that disabled observability costs
+//! nothing.
 
 use ouro_baselines::{RooflineSystem, SystemReport};
 use ouro_model::ModelConfig;
@@ -131,15 +133,6 @@ pub fn format_energy_breakdown(reports: &[SystemReport]) -> String {
 /// for the harness.
 pub use ouro_serve::json;
 
-/// The append-only results store and regression gate behind
-/// `experiments compare` / `experiments regress`.
-pub mod store;
-
-pub use store::{
-    compare_rows, config_hash, parse_flat_rows, FlatRow, JsonValue, MetricDiff, Store, Verdict,
-    COMPARE_SCHEMA_VERSION, COMPARE_V1_KEYS,
-};
-
 /// Prefixes one flattened [`ouro_serve::RunReport`] row with its experiment
 /// and label tags — the shared shape of every serving-style JSON dump the
 /// `experiments` binary emits.
@@ -156,55 +149,6 @@ pub const EXPERIMENT_TAG_KEYS: &[&str] = &["experiment", "label"];
 /// against tag keys + the `RunReport` schema + this list, so extending a
 /// subcommand's rows means extending this list (and the test) deliberately.
 pub const EXPERIMENT_EXTRA_KEYS: &[&str] = &["ttft_p99_inflation", "tpot_p99_inflation", "share_ratio"];
-
-/// One row of `experiments bench-report`: simulator self-profiling for the
-/// pinned perf trajectory (`BENCH_serve.json`). Carries its own
-/// `schema_version` ([`ouro_serve::BENCH_SCHEMA_VERSION`]) plus the
-/// [`ouro_serve::LoopProfile`] wall-time breakdown per loop event kind.
-pub fn bench_report_row(
-    label: &str,
-    requests: usize,
-    completed: u64,
-    sim_duration_s: f64,
-    wall_s: f64,
-    profile: &ouro_serve::LoopProfile,
-) -> json::JsonObject {
-    let requests_per_s = if wall_s > 0.0 { completed as f64 / wall_s } else { 0.0 };
-    json::JsonObject::new()
-        .int("schema_version", u64::from(ouro_serve::BENCH_SCHEMA_VERSION))
-        .str("experiment", "bench-report")
-        .str("label", label)
-        .int("requests", requests as u64)
-        .int("completed", completed)
-        .num("sim_duration_s", sim_duration_s)
-        .num("wall_s", wall_s)
-        .num("requests_per_s", requests_per_s)
-        .extend(profile.json_object())
-}
-
-/// The pinned key list of a [`bench_report_row`] — the `BENCH_serve.json`
-/// schema, version [`ouro_serve::BENCH_SCHEMA_VERSION`].
-pub const BENCH_REPORT_V1_KEYS: &[&str] = &[
-    "schema_version",
-    "experiment",
-    "label",
-    "requests",
-    "completed",
-    "sim_duration_s",
-    "wall_s",
-    "requests_per_s",
-    "loop_events",
-    "loop_wall_s",
-    "loop_events_per_s",
-    "arrival_events",
-    "arrival_wall_s",
-    "step_events",
-    "step_wall_s",
-    "fault_events",
-    "fault_wall_s",
-    "completion_events",
-    "completion_wall_s",
-];
 
 #[cfg(test)]
 mod tests {
@@ -223,22 +167,6 @@ mod tests {
         assert_eq!(decoder_models().len(), 4);
         assert_eq!(encoder_models().len(), 2);
         assert_eq!(baseline_systems().len(), 4);
-    }
-
-    #[test]
-    fn bench_report_row_matches_pinned_schema() {
-        let profile = ouro_serve::LoopProfile::default();
-        let row = bench_report_row("colocated", 8, 8, 1.5, 0.25, &profile);
-        assert_eq!(row.keys(), BENCH_REPORT_V1_KEYS);
-        assert_eq!(ouro_serve::BENCH_SCHEMA_VERSION, 1, "bump the pinned key list with the schema");
-        assert!(row.render().contains("\"requests_per_s\": 32"));
-    }
-
-    #[test]
-    fn bench_report_row_guards_zero_wall_time() {
-        let profile = ouro_serve::LoopProfile::default();
-        let row = bench_report_row("colocated", 8, 8, 1.5, 0.0, &profile);
-        assert!(row.render().contains("\"requests_per_s\": 0"));
     }
 
     #[test]

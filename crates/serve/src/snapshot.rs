@@ -41,6 +41,7 @@ use ouro_kvcache::{
     CrossbarSnapshot, KvError, KvManager, KvManagerSnapshot, KvTransferStats, SharedChainSnapshot,
 };
 use ouro_sim::OuroborosSystem;
+use ouro_trace::json::{fnv1a, FNV1A_OFFSET};
 use ouro_trace::{LoopProfile, TelemetryRecorder, Tracer};
 use ouro_workload::SharedPrefix;
 use rand::rngs::StdRng;
@@ -243,12 +244,7 @@ pub(crate) fn rebuild(
 /// sensitive to every config field (deployment, workload seeds, policies,
 /// engine tuning, SLO, horizon, faults, observability toggles).
 pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{scenario:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV1A_OFFSET, format!("{scenario:?}").as_bytes())
 }
 
 // ---------------------------------------------------------------------------

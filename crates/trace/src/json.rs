@@ -6,6 +6,9 @@
 //! all the `BENCH_*.json` trajectories and trace exporters need. It lives
 //! in `ouro-trace` so the report schema and the trace/telemetry schemas
 //! share one emitter; `ouro-serve` and `ouro-bench` re-export this module.
+//!
+//! [`fnv1a`] sits beside the writer: the workspace's digests (the trace
+//! timeline digest, the snapshot config hash) fingerprint rendered text.
 
 /// A flat JSON object under construction.
 #[derive(Debug, Clone, Default)]
@@ -107,9 +110,32 @@ pub fn write_array(path: &str, objects: &[JsonObject]) -> std::io::Result<()> {
     std::fs::write(path, render_array(objects))
 }
 
+/// The 64-bit FNV-1a offset basis: the state a fresh [`fnv1a`] digest
+/// starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `h`. Start from
+/// [`FNV1A_OFFSET`]; folding chunks one after another digests their
+/// concatenation.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_folds() {
+        assert_eq!(fnv1a(FNV1A_OFFSET, b""), FNV1A_OFFSET);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(fnv1a(FNV1A_OFFSET, b"fo"), b"obar"), fnv1a(FNV1A_OFFSET, b"foobar"));
+    }
 
     #[test]
     fn json_objects_render_flat_and_escaped() {

@@ -18,15 +18,14 @@
 //!   fixed simulated-time cadence ([`TelemetryRecorder`]), dumped as a
 //!   flat JSON time series.
 //! - [`profile`] — simulator self-profiling ([`LoopProfile`]): wall-time
-//!   per loop-work bucket and events-simulated/sec, feeding the
-//!   schema-versioned `BENCH_serve.json` perf trajectory.
+//!   per loop-work bucket and events-simulated/sec.
 //! - [`json`] — the dependency-free JSON writer the whole workspace
 //!   shares (moved here from `ouro-serve` so exporters and the serving
 //!   stack use one implementation).
 //!
 //! Every JSON artifact carries its own `schema_version`
 //! ([`TRACE_SCHEMA_VERSION`], [`TELEMETRY_SCHEMA_VERSION`],
-//! [`BENCH_SCHEMA_VERSION`]) so downstream tooling can detect drift.
+//! [`ANALYZE_SCHEMA_VERSION`]) so downstream tooling can detect drift.
 
 pub mod analyze;
 pub mod chrome;
@@ -42,7 +41,7 @@ pub use analyze::{
 };
 pub use chrome::{SpanPhase, Trace};
 pub use event::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
-pub use profile::{LoopProfile, ProfileBucket, BENCH_SCHEMA_VERSION};
+pub use profile::{LoopProfile, ProfileBucket};
 pub use sink::{RingSink, TraceSink, Tracer};
 pub use telemetry::{
     Counters, TelemetryConfig, TelemetryRecorder, TelemetrySample, WaferGauges, TELEMETRY_SCHEMA_VERSION,

@@ -5,16 +5,9 @@
 //! observes the simulator itself — where the host's wall-clock goes while
 //! driving a run. The driver buckets its loop work (arrival routing,
 //! engine iterations, fault injection, migration handling) into a
-//! [`LoopProfile`], which the `experiments bench-report` subcommand turns
-//! into the schema-versioned `BENCH_serve.json` perf trajectory.
+//! [`LoopProfile`], which [`LoopProfile::summarize`] renders as a table.
 
-use crate::json::JsonObject;
 use std::time::Duration;
-
-/// Version of the flat JSON schema emitted by `bench-report` rows
-/// ([`LoopProfile::json_object`] plus the per-point fields the binary
-/// adds). Bumped on any breaking key change.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// Wall-time accounting of one loop-work bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,23 +65,6 @@ impl LoopProfile {
         }
     }
 
-    /// The profile as flat JSON fields (merged into `BENCH_serve.json`
-    /// rows by the `experiments` binary).
-    pub fn json_object(&self) -> JsonObject {
-        JsonObject::new()
-            .int("loop_events", self.total_events())
-            .num("loop_wall_s", self.total_wall_s())
-            .num("loop_events_per_s", self.events_per_s())
-            .int("arrival_events", self.arrivals.count)
-            .num("arrival_wall_s", self.arrivals.wall_s())
-            .int("step_events", self.engine_steps.count)
-            .num("step_wall_s", self.engine_steps.wall_s())
-            .int("fault_events", self.faults.count)
-            .num("fault_wall_s", self.faults.wall_s())
-            .int("completion_events", self.completions.count)
-            .num("completion_wall_s", self.completions.wall_s())
-    }
-
     /// A terminal-friendly table of the buckets.
     pub fn summarize(&self) -> String {
         let mut out = String::new();
@@ -134,19 +110,13 @@ mod tests {
     }
 
     #[test]
-    fn json_fields_cover_every_bucket() {
-        let keys = LoopProfile::default().json_object();
-        let keys = keys.keys();
-        for k in [
-            "loop_events",
-            "loop_wall_s",
-            "loop_events_per_s",
-            "arrival_events",
-            "step_events",
-            "fault_events",
-            "completion_events",
-        ] {
-            assert!(keys.contains(&k), "missing {k}");
+    fn summary_names_every_bucket() {
+        let mut p = LoopProfile::default();
+        p.faults.add(Duration::from_micros(5));
+        let table = p.summarize();
+        for name in ["arrivals", "engine steps", "faults", "completions"] {
+            assert!(table.contains(name), "missing {name}");
         }
+        assert!(table.contains("1 events"));
     }
 }
