@@ -12,6 +12,7 @@
 use ouro_model::zoo;
 use ouro_serve::{FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
+use ouro_trace::json::{fnv1a, FNV1A_OFFSET};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TimedTrace, TraceGenerator};
 
 fn tiny_system() -> OuroborosSystem {
@@ -249,6 +250,30 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
     ("injector_wafer", &["section", "wafer", "assignment", "kv_cores", "failed", "death_s", "stall_s"]),
 ];
 
+/// FNV-1a of [`Snapshot::to_json`] for each golden shape at `0.2, 0.6,
+/// 1.0, 1.4, 2.0 × mid_s`, captured from the row-per-`String` writer this
+/// file's tests first pinned. Any change to the serialized bytes — not
+/// just to the key sets — trips it. (The closed-loop shape's midpoint is
+/// zero, so all five of its instants see the same state.)
+const SNAPSHOT_V1_DIGESTS: &[(&str, [u64; 5])] = &[
+    (
+        "colocated-poisson",
+        [0xf927f4d14a9793b9, 0x344547144445fe62, 0x641c7165133ae839, 0xc57a448d82b0112e, 0xcb42948dbdb35e25],
+    ),
+    (
+        "disagg-prefix",
+        [0x4b2bd678474707f5, 0xb6feb9135f2520fe, 0x9923288d6b242346, 0x14d2b24dcbb41805, 0x0d8f119047e729f0],
+    ),
+    (
+        "colocated-faults-closed-loop",
+        [0x92d4b9df98d59a73, 0x92d4b9df98d59a73, 0x92d4b9df98d59a73, 0x92d4b9df98d59a73, 0x92d4b9df98d59a73],
+    ),
+    (
+        "disagg-faults-prefix-horizon",
+        [0xb67ee65fd6a3d2a1, 0x7c639b5e50df3917, 0xb3397bb2cd9a3664, 0xab4988afc5dd5ce5, 0xab4988afc5dd5ce5],
+    ),
+];
+
 /// Splits one rendered snapshot row into its `(key, value)` pairs. The
 /// writer guarantees every value is a quote- and backslash-free string, so
 /// a plain quote scan is a complete parser.
@@ -294,6 +319,13 @@ fn snapshot_v1_key_sets_are_pinned() {
             run.run_until(mid_s * frac);
             jsons.push(scenario.checkpoint(&run).to_json());
         }
+        let digests: Vec<u64> = jsons.iter().map(|j| fnv1a(FNV1A_OFFSET, j.as_bytes())).collect();
+        let pinned = SNAPSHOT_V1_DIGESTS
+            .iter()
+            .find(|(l, _)| *l == label)
+            .unwrap_or_else(|| panic!("{label}: no pinned snapshot digests"))
+            .1;
+        assert_eq!(digests, pinned, "{label}: snapshot bytes drifted");
         for line in jsons.iter().flat_map(|j| j.lines()).filter(|l| l.starts_with('{')) {
             let pairs = row_pairs(line);
             let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
