@@ -894,7 +894,6 @@ fn scenario_matrix(
     cfg.seed = SEED;
     let system = OuroborosSystem::new(cfg, &model).expect("LLaMA-13B fits on one wafer");
     let wafers = 4;
-    let requests = requests.min(200);
     let lengths = LengthConfig::fixed(512, 64);
     let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
     let typical = lengths.nominal_total_tokens();

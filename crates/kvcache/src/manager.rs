@@ -44,6 +44,9 @@ pub enum KvError {
     UnknownSequence(u64),
     /// The manager was built with no KV cores at all.
     NoKvCores,
+    /// A snapshot's core, crossbar or block count (named here) does not
+    /// match the configuration it is restored under.
+    SnapshotGeometry(&'static str),
 }
 
 impl std::fmt::Display for KvError {
@@ -52,6 +55,9 @@ impl std::fmt::Display for KvError {
             KvError::OutOfCapacity => write!(f, "kv cache out of capacity"),
             KvError::UnknownSequence(s) => write!(f, "sequence {s} is not resident"),
             KvError::NoKvCores => write!(f, "no cores were assigned to the kv cache"),
+            KvError::SnapshotGeometry(what) => {
+                write!(f, "snapshot {what} count does not match the kv configuration")
+            }
         }
     }
 }
@@ -476,27 +482,30 @@ impl KvManager {
     /// # Errors
     ///
     /// Returns [`KvError::NoKvCores`] when the configuration has no KV
-    /// cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's core/crossbar geometry does not match the
-    /// configuration — snapshots are only meaningful against the system that
-    /// produced them.
+    /// cores, and [`KvError::SnapshotGeometry`] when the snapshot's core,
+    /// crossbar or block counts do not match the configuration — snapshots
+    /// are only meaningful against the system that produced them.
     pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvError> {
         let mut m = KvManager::new(config)?;
         let restore_side = |cores: &mut Vec<CoreState>, side: &[Vec<CrossbarSnapshot>]| {
-            assert_eq!(cores.len(), side.len(), "snapshot core count mismatch");
+            if cores.len() != side.len() {
+                return Err(KvError::SnapshotGeometry("core"));
+            }
             for (core, xbs) in cores.iter_mut().zip(side) {
-                assert_eq!(core.crossbars.len(), xbs.len(), "snapshot crossbar count mismatch");
+                if core.crossbars.len() != xbs.len() {
+                    return Err(KvError::SnapshotGeometry("crossbar"));
+                }
                 for (xb, s) in core.crossbars.iter_mut().zip(xbs) {
-                    assert_eq!(xb.num_blocks(), s.blocks.len(), "snapshot block count mismatch");
+                    if xb.num_blocks() != s.blocks.len() {
+                        return Err(KvError::SnapshotGeometry("block"));
+                    }
                     *xb = CrossbarBlocks::from_snapshot(xb.tokens_per_block(), s.blocks.clone(), s.failed);
                 }
             }
+            Ok(())
         };
-        restore_side(&mut m.key_cores, &snap.key_cores);
-        restore_side(&mut m.value_cores, &snap.value_cores);
+        restore_side(&mut m.key_cores, &snap.key_cores)?;
+        restore_side(&mut m.value_cores, &snap.value_cores)?;
         m.ring_next = snap.ring_next;
         m.allocated_blocks = snap.allocated_blocks;
         m.freed_blocks = snap.freed_blocks;
@@ -1251,6 +1260,32 @@ mod tests {
         assert_eq!(m.release(3), r.release(3));
         assert_eq!(m.fail_kv_core(0), r.fail_kv_core(0));
         assert_eq!(r.snapshot(), m.snapshot());
+    }
+
+    #[test]
+    fn restore_rejects_a_snapshot_of_another_geometry() {
+        let mut m = manager(4, 2);
+        m.admit(1, 100).unwrap();
+        let snap = m.snapshot();
+        let config = m.config.clone();
+
+        let mut blocks = snap.clone();
+        blocks.key_cores[0][0].blocks.pop();
+        assert_eq!(
+            KvManager::restore(config.clone(), &blocks).unwrap_err(),
+            KvError::SnapshotGeometry("block")
+        );
+        let mut crossbars = snap.clone();
+        crossbars.value_cores[1].pop();
+        assert_eq!(
+            KvManager::restore(config.clone(), &crossbars).unwrap_err(),
+            KvError::SnapshotGeometry("crossbar")
+        );
+        let mut cores = snap;
+        cores.key_cores.pop();
+        let err = KvManager::restore(config, &cores).unwrap_err();
+        assert_eq!(err, KvError::SnapshotGeometry("core"));
+        assert_eq!(err.to_string(), "snapshot core count does not match the kv configuration");
     }
 
     #[test]

@@ -378,13 +378,17 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates [`KvError`] from KV-manager reconstruction.
+    /// Propagates [`KvError`] from KV-manager reconstruction, including
+    /// [`KvError::SnapshotGeometry`] when an engine's KV core, crossbar or
+    /// block counts do not match `system`.
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot carries an incompatible schema version or
-    /// was captured by a differently-configured scenario (a config hash
-    /// guards against resuming foreign state).
+    /// Panics when the snapshot carries an incompatible schema version, was
+    /// captured by a differently-configured scenario (a config hash guards
+    /// against resuming foreign state), or its wafer count or fault state
+    /// does not match the scenario. A KV geometry mismatch is an error, not
+    /// a panic.
     pub fn resume(&self, system: &OuroborosSystem, snapshot: &Snapshot) -> Result<RunState, KvError> {
         crate::snapshot::rebuild(self, system, snapshot)
     }

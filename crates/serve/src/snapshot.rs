@@ -30,6 +30,14 @@
 //! [`Snapshot::parse`] is the strict inverse; the schema is versioned by
 //! [`SNAPSHOT_SCHEMA_VERSION`] and guarded by a config hash so foreign
 //! state cannot be resumed silently.
+//!
+//! Both halves stream. The writer appends every row, field and value
+//! straight into the one output `String` through [`std::fmt::Write`], with
+//! no per-value or per-row buffer. The reader walks the document one row at
+//! a time into a reused list of `(key, value)` slices borrowed from the
+//! input and folds each row into the [`Snapshot`] before reading the next,
+//! so `parse` never holds the whole parsed document, only the input text
+//! and the snapshot it is building.
 
 use crate::engine::{Engine, EngineStats};
 use crate::fault::{FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
@@ -46,6 +54,7 @@ use ouro_trace::{LoopProfile, TelemetryRecorder, Tracer};
 use ouro_workload::SharedPrefix;
 use rand::rngs::StdRng;
 use std::collections::BinaryHeap;
+use std::fmt::{self, Write as _};
 
 /// Version stamp of the serialized snapshot schema. Bumped on any change
 /// to the row layout; [`Snapshot::parse`] and `rebuild` both reject
@@ -141,12 +150,13 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// # Errors
 ///
-/// Propagates [`KvError`] from KV-manager reconstruction.
+/// Propagates [`KvError`] from KV-manager reconstruction, including a
+/// KV geometry mismatch ([`KvError::SnapshotGeometry`]).
 ///
 /// # Panics
 ///
-/// Panics on a schema-version or config-hash mismatch, or when the
-/// snapshot's fault state does not match the scenario's fault config.
+/// Panics on a schema-version, config-hash or wafer-count mismatch, or when
+/// the snapshot's fault state does not match the scenario's fault config.
 pub(crate) fn rebuild(
     scenario: &Scenario,
     system: &OuroborosSystem,
@@ -253,106 +263,153 @@ pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
 // `ouro_trace::json` cannot round-trip non-finite floats.
 // ---------------------------------------------------------------------------
 
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Appends formatted text to `out` (writing into a `String` cannot fail).
+fn put(out: &mut String, args: fmt::Arguments<'_>) {
+    out.write_fmt(args).expect("writing into a String cannot fail");
 }
 
-/// One serialized row: `{"section":"…","k":"v",…}`. Values never contain
-/// quotes or backslashes (they are built from digits and fixed separator
-/// characters), so no escaping is needed on either side.
-struct Row {
-    out: String,
+fn num<T: fmt::Display>(out: &mut String, v: T) {
+    put(out, format_args!("{v}"));
 }
 
-impl Row {
-    fn new(section: &str) -> Row {
-        Row { out: format!("{{\"section\":\"{section}\"") }
-    }
-
-    fn field(mut self, key: &str, value: impl AsRef<str>) -> Row {
-        let value = value.as_ref();
-        debug_assert!(
-            !value.contains('"') && !value.contains('\\'),
-            "snapshot values must not need escaping: {value:?}"
-        );
-        self.out.push_str(",\"");
-        self.out.push_str(key);
-        self.out.push_str("\":\"");
-        self.out.push_str(value);
-        self.out.push('"');
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
+/// A float as the 16 hex digits of its IEEE-754 bit pattern.
+fn hex(out: &mut String, v: f64) {
+    put(out, format_args!("{:016x}", v.to_bits()));
 }
 
-fn join<I: IntoIterator<Item = String>>(items: I, sep: char) -> String {
-    let mut out = String::new();
+/// Writes `each` of `items` into `out`, separated by `sep`.
+fn join<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    sep: char,
+    mut each: impl FnMut(&mut String, T),
+) {
     for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(sep);
         }
-        out.push_str(&item);
+        each(out, item);
     }
-    out
 }
 
-fn slots(list: &[(usize, usize, usize)]) -> String {
-    join(list.iter().map(|&(c, x, b)| format!("{c}.{x}.{b}")), ',')
+fn slots(out: &mut String, list: &[(usize, usize, usize)]) {
+    join(out, list, ',', |o, &(c, x, b)| put(o, format_args!("{c}.{x}.{b}")));
+}
+
+/// Writes a whole document into one buffer: `[`, then `{"section":"…",
+/// "k":"v",…}` rows separated by `",\n"`, then `]`. Values never contain
+/// quotes or backslashes (they are built from digits and fixed separator
+/// characters), so no escaping is needed on either side.
+struct Writer {
+    out: String,
+    rows: usize,
+}
+
+impl Writer {
+    fn new() -> Writer {
+        Writer { out: String::from("[\n"), rows: 0 }
+    }
+
+    /// Opens the next row; close it with [`Writer::end`].
+    fn row(&mut self, section: &str) -> &mut Writer {
+        if self.rows > 0 {
+            self.out.push_str(",\n");
+        }
+        self.rows += 1;
+        self.out.push_str("{\"section\":\"");
+        self.out.push_str(section);
+        self.out.push('"');
+        self
+    }
+
+    /// Adds one field whose value `value` writes straight into the buffer.
+    fn field(&mut self, key: &str, value: impl FnOnce(&mut String)) -> &mut Writer {
+        self.out.push_str(",\"");
+        self.out.push_str(key);
+        self.out.push_str("\":\"");
+        let start = self.out.len();
+        value(&mut self.out);
+        debug_assert!(
+            !self.out[start..].contains(['"', '\\']),
+            "snapshot values must not need escaping: {:?}",
+            &self.out[start..]
+        );
+        self.out.push('"');
+        self
+    }
+
+    fn num(&mut self, key: &str, v: impl fmt::Display) -> &mut Writer {
+        self.field(key, |o| num(o, v))
+    }
+
+    fn hex(&mut self, key: &str, v: f64) -> &mut Writer {
+        self.field(key, |o| hex(o, v))
+    }
+
+    fn flag(&mut self, key: &str, v: bool) -> &mut Writer {
+        self.field(key, |o| o.push(if v { '1' } else { '0' }))
+    }
+
+    fn end(&mut self) {
+        self.out.push('}');
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str("\n]\n");
+        self.out
+    }
 }
 
 impl Snapshot {
     /// Serializes the snapshot (see the module doc for the format).
     pub fn to_json(&self) -> String {
-        let mut rows: Vec<String> = Vec::new();
-        rows.push(
-            Row::new("meta")
-                .field("schema_version", self.schema_version.to_string())
-                .field("config_hash", format!("{:016x}", self.config_hash))
-                .field("completed", self.completed.to_string())
-                .field("faults_fired", self.faults_fired.to_string())
-                .field("router_state", self.router_state.to_string())
-                .field("placement_state", self.placement_state.to_string())
-                .field("think_rng", join(self.think_rng.iter().map(|w| format!("{w:016x}")), '|'))
-                .field("arrivals", join(self.arrivals.iter().map(|&(t, i)| format!("{}:{i}", hex(t))), ';'))
-                .field("gated", join(self.gated.iter().map(usize::to_string), ';'))
-                .finish(),
-        );
+        let mut w = Writer::new();
+        w.row("meta")
+            .num("schema_version", self.schema_version)
+            .field("config_hash", |o| put(o, format_args!("{:016x}", self.config_hash)))
+            .num("completed", self.completed)
+            .num("faults_fired", self.faults_fired)
+            .num("router_state", self.router_state)
+            .num("placement_state", self.placement_state)
+            .field("think_rng", |o| join(o, &self.think_rng, '|', |o, x| put(o, format_args!("{x:016x}"))))
+            .field("arrivals", |o| {
+                join(o, &self.arrivals, ';', |o, &(t, i)| {
+                    hex(o, t);
+                    put(o, format_args!(":{i}"));
+                })
+            })
+            .field("gated", |o| join(o, &self.gated, ';', num))
+            .end();
         for m in &self.migrations {
-            rows.push(
-                Row::new("migration")
-                    .field("id", m.id.to_string())
-                    .field("from", m.from_wafer.to_string())
-                    .field("to", m.to_wafer.to_string())
-                    .field("tokens", m.tokens.to_string())
-                    .field("deduped", m.deduped_tokens.to_string())
-                    .field("bytes", m.bytes.to_string())
-                    .field("start_s", hex(m.start_s))
-                    .field("arrive_s", hex(m.arrive_s))
-                    .field("hops", m.wafer_hops.to_string())
-                    .field("energy_j", hex(m.energy_j))
-                    .finish(),
-            );
+            w.row("migration")
+                .num("id", m.id)
+                .num("from", m.from_wafer)
+                .num("to", m.to_wafer)
+                .num("tokens", m.tokens)
+                .num("deduped", m.deduped_tokens)
+                .num("bytes", m.bytes)
+                .hex("start_s", m.start_s)
+                .hex("arrive_s", m.arrive_s)
+                .num("hops", m.wafer_hops)
+                .hex("energy_j", m.energy_j)
+                .end();
         }
         for (wafer, e) in self.engines.iter().enumerate() {
             let s = &e.stats;
-            rows.push(
-                Row::new("engine")
-                    .field("wafer", wafer.to_string())
-                    .field("clock_s", hex(e.clock_s))
-                    .field("busy_s", hex(e.busy_s))
-                    .field("suspended", if e.admission_suspended { "1" } else { "0" })
-                    .field("pending_tokens", e.pending_tokens.to_string())
-                    .field("pending_wire_tokens", e.pending_wire_tokens.to_string())
-                    .field("mean_hops", hex(e.mean_hops))
-                    .field("order_counter", e.order_counter.to_string())
-                    .field(
-                        "stats",
-                        format!(
-                            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+            w.row("engine")
+                .num("wafer", wafer)
+                .hex("clock_s", e.clock_s)
+                .hex("busy_s", e.busy_s)
+                .flag("suspended", e.admission_suspended)
+                .num("pending_tokens", e.pending_tokens)
+                .num("pending_wire_tokens", e.pending_wire_tokens)
+                .hex("mean_hops", e.mean_hops)
+                .num("order_counter", e.order_counter)
+                .field("stats", |o| {
+                    put(
+                        o,
+                        format_args!(
+                            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|",
                             s.admissions,
                             s.evictions,
                             s.recomputed_tokens,
@@ -366,220 +423,168 @@ impl Snapshot {
                             s.faults,
                             s.fault_evicted_seqs,
                             s.fault_evicted_tokens,
-                            hex(s.stall_s),
                         ),
-                    )
-                    .finish(),
-            );
+                    );
+                    hex(o, s.stall_s);
+                })
+                .end();
             for r in &e.records {
-                rows.push(
-                    Row::new("record")
-                        .field("wafer", wafer.to_string())
-                        .field("id", r.id.to_string())
-                        .field("rwafer", r.wafer.to_string())
-                        .field("prompt", r.prompt_len.to_string())
-                        .field("decode", r.decode_len.to_string())
-                        .field("arrival_s", hex(r.arrival_s))
-                        .field("admitted_s", hex(r.admitted_s))
-                        .field("queue_wait_s", hex(r.queue_wait_s))
-                        .field("first_token_s", hex(r.first_token_s))
-                        .field("completed_s", hex(r.completed_s))
-                        .field("evictions", r.evictions.to_string())
-                        .field("cached_prefix", r.cached_prefix_tokens.to_string())
-                        .field(
-                            "shared",
-                            r.shared_prefix
-                                .map_or_else(|| "-".to_string(), |p| format!("{}:{}", p.group, p.tokens)),
-                        )
-                        .finish(),
-                );
+                w.row("record")
+                    .num("wafer", wafer)
+                    .num("id", r.id)
+                    .num("rwafer", r.wafer)
+                    .num("prompt", r.prompt_len)
+                    .num("decode", r.decode_len)
+                    .hex("arrival_s", r.arrival_s)
+                    .hex("admitted_s", r.admitted_s)
+                    .hex("queue_wait_s", r.queue_wait_s)
+                    .hex("first_token_s", r.first_token_s)
+                    .hex("completed_s", r.completed_s)
+                    .num("evictions", r.evictions)
+                    .num("cached_prefix", r.cached_prefix_tokens)
+                    .field("shared", |o| match r.shared_prefix {
+                        Some(p) => put(o, format_args!("{}:{}", p.group, p.tokens)),
+                        None => o.push('-'),
+                    })
+                    .end();
             }
             for &(ready_s, p) in &e.pending {
-                rows.push(
-                    Row::new("pending")
-                        .field("wafer", wafer.to_string())
-                        .field("ready_s", hex(ready_s))
-                        .field("rec", p.rec.to_string())
-                        .field("decoded", p.decoded.to_string())
-                        .field("imported", if p.imported { "1" } else { "0" })
-                        .field("wire_tokens", p.wire_tokens.to_string())
-                        .field("evicted", if p.evicted { "1" } else { "0" })
-                        .field("prefill_only", if p.prefill_only { "1" } else { "0" })
-                        .finish(),
-                );
+                w.row("pending")
+                    .num("wafer", wafer)
+                    .hex("ready_s", ready_s)
+                    .num("rec", p.rec)
+                    .num("decoded", p.decoded)
+                    .flag("imported", p.imported)
+                    .num("wire_tokens", p.wire_tokens)
+                    .flag("evicted", p.evicted)
+                    .flag("prefill_only", p.prefill_only)
+                    .end();
             }
             for a in &e.active {
-                rows.push(
-                    Row::new("active")
-                        .field("wafer", wafer.to_string())
-                        .field("rec", a.rec.to_string())
-                        .field("prefill_remaining", a.prefill_remaining.to_string())
-                        .field("decoded", a.decoded.to_string())
-                        .field("admission_order", a.admission_order.to_string())
-                        .field("prefill_only", if a.prefill_only { "1" } else { "0" })
-                        .finish(),
-                );
+                w.row("active")
+                    .num("wafer", wafer)
+                    .num("rec", a.rec)
+                    .num("prefill_remaining", a.prefill_remaining)
+                    .num("decoded", a.decoded)
+                    .num("admission_order", a.admission_order)
+                    .flag("prefill_only", a.prefill_only)
+                    .end();
             }
             let kv = &e.kv;
-            rows.push(
-                Row::new("kv")
-                    .field("wafer", wafer.to_string())
-                    .field("ring_k", kv.ring_next[0].to_string())
-                    .field("ring_v", kv.ring_next[1].to_string())
-                    .field("allocated", kv.allocated_blocks.to_string())
-                    .field("freed", kv.freed_blocks.to_string())
-                    .field(
-                        "transfers",
-                        format!(
+            let t = &kv.transfers;
+            w.row("kv")
+                .num("wafer", wafer)
+                .num("ring_k", kv.ring_next[0])
+                .num("ring_v", kv.ring_next[1])
+                .num("allocated", kv.allocated_blocks)
+                .num("freed", kv.freed_blocks)
+                .field("transfers", |o| {
+                    put(
+                        o,
+                        format_args!(
                             "{}|{}|{}|{}",
-                            kv.transfers.exported_sequences,
-                            kv.transfers.exported_tokens,
-                            kv.transfers.imported_sequences,
-                            kv.transfers.imported_tokens
+                            t.exported_sequences, t.exported_tokens, t.imported_sequences, t.imported_tokens
                         ),
                     )
-                    .finish(),
-            );
+                })
+                .end();
             for (side, cores) in [("k", &kv.key_cores), ("v", &kv.value_cores)] {
                 for (core, xbs) in cores.iter().enumerate() {
-                    let encoded = join(
-                        xbs.iter().map(|xb| {
-                            let blocks = join(
-                                xb.blocks.iter().map(|b| {
-                                    b.map_or_else(
-                                        || "-".to_string(),
-                                        |(owner, used)| format!("{owner}:{used}"),
-                                    )
-                                }),
-                                ',',
-                            );
-                            format!("{}!{blocks}", u8::from(xb.failed))
-                        }),
-                        ';',
-                    );
-                    rows.push(
-                        Row::new("kv_cores")
-                            .field("wafer", wafer.to_string())
-                            .field("side", side)
-                            .field("core", core.to_string())
-                            .field("xbs", encoded)
-                            .finish(),
-                    );
+                    w.row("kv_cores")
+                        .num("wafer", wafer)
+                        .field("side", |o| o.push_str(side))
+                        .num("core", core)
+                        .field("xbs", |o| {
+                            join(o, xbs, ';', |o, xb| {
+                                o.push(if xb.failed { '1' } else { '0' });
+                                o.push('!');
+                                join(o, &xb.blocks, ',', |o, b| match b {
+                                    Some((owner, used)) => put(o, format_args!("{owner}:{used}")),
+                                    None => o.push('-'),
+                                });
+                            })
+                        })
+                        .end();
                 }
             }
-            rows.push(
-                Row::new("kv_page")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(
-                            kv.page_table.iter().map(|(seq, cores)| {
-                                format!("{seq}:{}", join(cores.iter().map(u64::to_string), ','))
-                            }),
-                            ';',
-                        ),
-                    )
-                    .finish(),
-            );
-            rows.push(
-                Row::new("kv_cursor")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(
-                            kv.cursors.iter().map(|&(seq, head, role, ci, xb, b)| {
-                                format!("{seq}:{head}:{role}:{ci}:{xb}:{b}")
-                            }),
-                            ';',
-                        ),
-                    )
-                    .finish(),
-            );
-            rows.push(
-                Row::new("kv_seq_blocks")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(
-                            kv.seq_blocks.iter().map(|(seq, blocks)| {
-                                format!(
-                                    "{seq}:{}",
-                                    join(
-                                        blocks.iter().map(|&(r, ci, xb, b)| format!("{r}.{ci}.{xb}.{b}")),
-                                        ','
-                                    )
-                                )
-                            }),
-                            ';',
-                        ),
-                    )
-                    .finish(),
-            );
-            rows.push(
-                Row::new("kv_resident")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(kv.resident_tokens.iter().map(|&(seq, t)| format!("{seq}:{t}")), ';'),
-                    )
-                    .finish(),
-            );
+            w.row("kv_page")
+                .num("wafer", wafer)
+                .field("entries", |o| {
+                    join(o, &kv.page_table, ';', |o, (seq, cores)| {
+                        put(o, format_args!("{seq}:"));
+                        join(o, cores, ',', num);
+                    })
+                })
+                .end();
+            w.row("kv_cursor")
+                .num("wafer", wafer)
+                .field("entries", |o| {
+                    join(o, &kv.cursors, ';', |o, &(seq, head, role, ci, xb, b)| {
+                        put(o, format_args!("{seq}:{head}:{role}:{ci}:{xb}:{b}"))
+                    })
+                })
+                .end();
+            w.row("kv_seq_blocks")
+                .num("wafer", wafer)
+                .field("entries", |o| {
+                    join(o, &kv.seq_blocks, ';', |o, (seq, blocks)| {
+                        put(o, format_args!("{seq}:"));
+                        join(o, blocks, ',', |o, &(r, ci, xb, b)| put(o, format_args!("{r}.{ci}.{xb}.{b}")));
+                    })
+                })
+                .end();
+            w.row("kv_resident")
+                .num("wafer", wafer)
+                .field("entries", |o| {
+                    join(o, &kv.resident_tokens, ';', |o, &(seq, t)| put(o, format_args!("{seq}:{t}")))
+                })
+                .end();
             for (group, chain) in &kv.shared {
-                rows.push(
-                    Row::new("kv_shared")
-                        .field("wafer", wafer.to_string())
-                        .field("group", group.to_string())
-                        .field("k_cores", join(chain.k_cores.iter().map(usize::to_string), ','))
-                        .field("v_cores", join(chain.v_cores.iter().map(usize::to_string), ','))
-                        .field(
-                            "nodes",
-                            join(
-                                chain.nodes.iter().map(|(refs, k_slots, v_slots)| {
-                                    format!("{refs}!{}!{}", slots(k_slots), slots(v_slots))
-                                }),
-                                ';',
-                            ),
-                        )
-                        .finish(),
-                );
+                w.row("kv_shared")
+                    .num("wafer", wafer)
+                    .num("group", group)
+                    .field("k_cores", |o| join(o, &chain.k_cores, ',', num))
+                    .field("v_cores", |o| join(o, &chain.v_cores, ',', num))
+                    .field("nodes", |o| {
+                        join(o, &chain.nodes, ';', |o, (refs, k_slots, v_slots)| {
+                            put(o, format_args!("{refs}!"));
+                            slots(o, k_slots);
+                            o.push('!');
+                            slots(o, v_slots);
+                        })
+                    })
+                    .end();
             }
-            rows.push(
-                Row::new("kv_seq_shared")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(kv.seq_shared.iter().map(|&(seq, g, n)| format!("{seq}:{g}:{n}")), ';'),
-                    )
-                    .finish(),
-            );
+            w.row("kv_seq_shared")
+                .num("wafer", wafer)
+                .field("entries", |o| {
+                    join(o, &kv.seq_shared, ';', |o, &(seq, g, n)| put(o, format_args!("{seq}:{g}:{n}")))
+                })
+                .end();
         }
         if let Some(inj) = &self.injector {
-            rows.push(
-                Row::new("injector")
-                    .field(
-                        "events",
-                        join(inj.events.iter().map(|&(w, t, draw)| format!("{w}:{}:{draw}", hex(t))), ';'),
-                    )
-                    .field("counters", join(inj.counters.iter().map(u64::to_string), '|'))
-                    .finish(),
-            );
-            for (wafer, w) in inj.wafers.iter().enumerate() {
-                rows.push(
-                    Row::new("injector_wafer")
-                        .field("wafer", wafer.to_string())
-                        .field("assignment", join(w.assignment.iter().map(u64::to_string), ';'))
-                        .field("kv_cores", join(w.kv_cores.iter().map(u64::to_string), ';'))
-                        .field("failed", join(w.failed.iter().map(u64::to_string), ';'))
-                        .field("death_s", hex(w.death_s))
-                        .field("stall_s", hex(w.stall_s))
-                        .finish(),
-                );
+            w.row("injector")
+                .field("events", |o| {
+                    join(o, &inj.events, ';', |o, &(wafer, t, draw)| {
+                        put(o, format_args!("{wafer}:"));
+                        hex(o, t);
+                        put(o, format_args!(":{draw}"));
+                    })
+                })
+                .field("counters", |o| join(o, &inj.counters, '|', num))
+                .end();
+            for (wafer, wf) in inj.wafers.iter().enumerate() {
+                w.row("injector_wafer")
+                    .num("wafer", wafer)
+                    .field("assignment", |o| join(o, &wf.assignment, ';', num))
+                    .field("kv_cores", |o| join(o, &wf.kv_cores, ';', num))
+                    .field("failed", |o| join(o, &wf.failed, ';', num))
+                    .hex("death_s", wf.death_s)
+                    .hex("stall_s", wf.stall_s)
+                    .end();
             }
         }
-        let mut out = String::from("[\n");
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n]\n");
-        out
+        w.finish()
     }
 
     /// Parses a [`Snapshot::to_json`] document.
@@ -589,7 +594,8 @@ impl Snapshot {
     /// Returns a description of the first malformed token, unknown
     /// section, missing field, or schema-version mismatch.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let rows = parse_rows(text)?;
+        let mut reader = RowReader::new(text)?;
+        let mut row = Row { pairs: Vec::new() };
         let mut snap = Snapshot {
             schema_version: 0,
             config_hash: 0,
@@ -605,7 +611,7 @@ impl Snapshot {
             injector: None,
         };
         let mut saw_meta = false;
-        for row in rows {
+        while reader.next_row(&mut row)? {
             let section = row.get("section")?;
             match section {
                 "meta" => {
@@ -750,7 +756,7 @@ impl Snapshot {
     }
 }
 
-fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> Result<(), String> {
+fn parse_engine_row(section: &str, row: &Row<'_>, e: &mut EngineSnapshot) -> Result<(), String> {
     match section {
         "record" => e.records.push(RequestRecord {
             id: p_usize(row.get("id")?)?,
@@ -926,96 +932,116 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
     Ok(())
 }
 
-// --- tiny strict parser helpers -------------------------------------------
+// --- tiny strict streaming parser -----------------------------------------
 
-/// One parsed row's `key → value` pairs (values are always strings).
-struct ParsedRow {
-    pairs: Vec<(String, String)>,
+/// One row's `key → value` pairs, borrowed from the document (values are
+/// always strings). [`Snapshot::parse`] reuses one `Row` for every row.
+struct Row<'a> {
+    pairs: Vec<(&'a str, &'a str)>,
 }
 
-impl ParsedRow {
-    fn get(&self, key: &str) -> Result<&str, String> {
+impl<'a> Row<'a> {
+    fn get(&self, key: &str) -> Result<&'a str, String> {
         self.pairs
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .find(|&&(k, _)| k == key)
+            .map(|&(_, v)| v)
             .ok_or_else(|| format!("snapshot row is missing field {key:?}"))
     }
 }
 
-/// Parses the outer `[ {…}, {…} ]` document. The grammar is the exact
-/// output of [`Snapshot::to_json`]: objects of string-valued fields, no
-/// escapes, no nested containers.
-fn parse_rows(text: &str) -> Result<Vec<ParsedRow>, String> {
-    let b = text.as_bytes();
-    let mut i = 0usize;
-    let ws = |b: &[u8], i: &mut usize| {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1
+/// Reads the outer `[ {…}, {…} ]` document one row at a time. The grammar
+/// is the exact output of [`Snapshot::to_json`]: objects of one or more
+/// string-valued fields, no escapes, no nested containers, whitespace
+/// allowed between tokens. Anything after the closing `]` is ignored.
+struct RowReader<'a> {
+    text: &'a str,
+    i: usize,
+    /// No row read yet, so no `,` separator is due.
+    first: bool,
+    done: bool,
+}
+
+impl<'a> RowReader<'a> {
+    fn new(text: &'a str) -> Result<RowReader<'a>, String> {
+        let mut r = RowReader { text, i: 0, first: true, done: false };
+        r.ws();
+        r.expect(b'[')?;
+        r.ws();
+        r.done = r.peek() == Some(b']');
+        Ok(r)
+    }
+
+    /// Reads the next row into `row`; `Ok(false)` after the last one.
+    fn next_row(&mut self, row: &mut Row<'a>) -> Result<bool, String> {
+        if self.done {
+            return Ok(false);
         }
-    };
-    let expect = |b: &[u8], i: &mut usize, c: u8| -> Result<(), String> {
-        if *i < b.len() && b[*i] == c {
-            *i += 1;
+        if !self.first {
+            self.ws();
+            if self.peek() != Some(b',') {
+                self.expect(b']')?;
+                self.done = true;
+                return Ok(false);
+            }
+            self.i += 1;
+            self.ws();
+        }
+        self.first = false;
+        self.expect(b'{')?;
+        row.pairs.clear();
+        loop {
+            self.ws();
+            let key = self.string()?;
+            self.ws();
+            self.expect(b':')?;
+            self.ws();
+            let value = self.string()?;
+            row.pairs.push((key, value));
+            self.ws();
+            if self.peek() != Some(b',') {
+                break;
+            }
+            self.i += 1;
+        }
+        self.expect(b'}')?;
+        Ok(true)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.i).copied()
+    }
+
+    fn ws(&mut self) {
+        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
+            self.i += 1;
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.i += 1;
             Ok(())
         } else {
-            Err(format!("expected {:?} at byte {}", c as char, *i))
+            Err(format!("expected {:?} at byte {}", c as char, self.i))
         }
-    };
-    let string = |b: &[u8], i: &mut usize| -> Result<String, String> {
-        expect(b, i, b'"')?;
-        let start = *i;
-        while *i < b.len() && b[*i] != b'"' {
-            if b[*i] == b'\\' {
-                return Err(format!("unexpected escape at byte {}", *i));
-            }
-            *i += 1;
-        }
-        if *i >= b.len() {
-            return Err("unterminated string".to_string());
-        }
-        let s = std::str::from_utf8(&b[start..*i]).map_err(|e| e.to_string())?.to_string();
-        *i += 1;
-        Ok(s)
-    };
+    }
 
-    let mut rows = Vec::new();
-    ws(b, &mut i);
-    expect(b, &mut i, b'[')?;
-    ws(b, &mut i);
-    if i < b.len() && b[i] == b']' {
-        return Ok(rows);
-    }
-    loop {
-        expect(b, &mut i, b'{')?;
-        let mut pairs = Vec::new();
-        loop {
-            ws(b, &mut i);
-            let key = string(b, &mut i)?;
-            ws(b, &mut i);
-            expect(b, &mut i, b':')?;
-            ws(b, &mut i);
-            let value = string(b, &mut i)?;
-            pairs.push((key, value));
-            ws(b, &mut i);
-            if i < b.len() && b[i] == b',' {
-                i += 1;
-                continue;
+    fn string(&mut self) -> Result<&'a str, String> {
+        self.expect(b'"')?;
+        let start = self.i;
+        let rest = &self.text.as_bytes()[start..];
+        match rest.iter().position(|&c| c == b'"' || c == b'\\') {
+            Some(n) if rest[n] == b'"' => {
+                self.i = start + n + 1;
+                // Both ends sit next to an ASCII quote, so both are char
+                // boundaries of the (valid UTF-8) text.
+                Ok(&self.text[start..start + n])
             }
-            break;
+            Some(n) => Err(format!("unexpected escape at byte {}", start + n)),
+            None => Err("unterminated string".to_string()),
         }
-        expect(b, &mut i, b'}')?;
-        rows.push(ParsedRow { pairs });
-        ws(b, &mut i);
-        if i < b.len() && b[i] == b',' {
-            i += 1;
-            ws(b, &mut i);
-            continue;
-        }
-        break;
     }
-    expect(b, &mut i, b']')?;
-    Ok(rows)
 }
 
 fn split(s: &str, sep: char) -> impl Iterator<Item = &str> {
@@ -1065,9 +1091,13 @@ mod tests {
     #[test]
     fn float_hex_round_trips_every_bit_pattern_class() {
         for v in [0.0, -0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, 1e-300] {
-            assert_eq!(p_f64(&hex(v)).unwrap().to_bits(), v.to_bits());
+            let mut s = String::new();
+            hex(&mut s, v);
+            assert_eq!(p_f64(&s).unwrap().to_bits(), v.to_bits());
         }
-        assert!(p_f64(&hex(f64::NAN)).unwrap().is_nan());
+        let mut s = String::new();
+        hex(&mut s, f64::NAN);
+        assert!(p_f64(&s).unwrap().is_nan());
     }
 
     #[test]
@@ -1078,11 +1108,25 @@ mod tests {
         assert_ne!(config_hash(&a), config_hash(&b));
     }
 
+    /// A complete `meta` row of an empty run.
+    const META: &str = r#"{"section":"meta","schema_version":"1","config_hash":"0000000000000000","completed":"0","faults_fired":"0","router_state":"0","placement_state":"0","think_rng":"0|0|0|0","arrivals":"","gated":""}"#;
+
     #[test]
     fn parser_rejects_malformed_documents() {
         assert!(Snapshot::parse("").is_err());
         assert!(Snapshot::parse("[]").is_err(), "a meta row is required");
         assert!(Snapshot::parse("[{\"section\":\"warp\"}]").is_err());
         assert!(Snapshot::parse("[{\"section\":\"meta\"}]").is_err(), "meta fields are required");
+
+        assert!(Snapshot::parse(&format!("[{META}]")).is_ok(), "the control document parses");
+        let err = |doc: String| Snapshot::parse(&doc).unwrap_err();
+        assert_eq!(err(format!("[{}", &META[..20])), "unterminated string");
+        assert!(err(format!("[{}\\{}]", &META[..13], &META[13..])).starts_with("unexpected escape"));
+        assert!(err(format!("[{META}")).starts_with("expected ']'"));
+        assert!(err(format!("[{META},")).starts_with("expected '{'"));
+        let record = r#"{"section":"record","wafer":"0","id":"0"}"#;
+        assert!(err(format!("[{META},{record}]")).contains("precedes its engine row"));
+        let engine = r#"{"section":"engine","wafer":"1"}"#;
+        assert!(err(format!("[{META},{engine}]")).contains("out of order"));
     }
 }

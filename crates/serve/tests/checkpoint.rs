@@ -14,6 +14,8 @@ use ouro_serve::{FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_trace::json::{fnv1a, FNV1A_OFFSET};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TimedTrace, TraceGenerator};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn tiny_system() -> OuroborosSystem {
     OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap()
@@ -138,6 +140,41 @@ fn a_checkpoint_does_not_perturb_the_run_it_observes() {
 }
 
 #[test]
+fn parse_never_panics_on_a_corrupted_document() {
+    // Seeded truncations and single-byte overwrites of each golden shape's
+    // midpoint snapshot. Overwrites draw from the grammar's own bytes
+    // (quotes, braces, brackets, separators, a backslash), digits, and
+    // non-ASCII bytes, which the lossy decode turns into multi-byte chars.
+    const BYTES: &[u8] = b"\"{}[],:\\ |;!.-09af\x00\x7f\x80\xc3\xff";
+    let sys = tiny_system();
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let (mut accepted, mut rejected) = (0, 0);
+    for (label, scenario, mid_s) in golden_shapes() {
+        let mut run = scenario.start(&sys).unwrap();
+        run.run_until(mid_s);
+        let json = scenario.checkpoint(&run).to_json().into_bytes();
+        for _ in 0..100 {
+            let mut doc = json.clone();
+            let at = rng.gen_range(0..doc.len());
+            let mutation = if rng.gen_bool(0.25) {
+                doc.truncate(at);
+                format!("truncated at byte {at}")
+            } else {
+                doc[at] = BYTES[rng.gen_range(0..BYTES.len())];
+                format!("byte {at} set to {:#04x}", doc[at])
+            };
+            let text = String::from_utf8_lossy(&doc);
+            match std::panic::catch_unwind(|| Snapshot::parse(&text).is_ok()) {
+                Ok(true) => accepted += 1,
+                Ok(false) => rejected += 1,
+                Err(_) => panic!("{label}: parse panicked on a snapshot with {mutation}"),
+            }
+        }
+    }
+    assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+}
+
+#[test]
 #[should_panic(expected = "differently-configured scenario")]
 fn resuming_under_a_different_config_is_rejected() {
     let sys = tiny_system();
@@ -251,10 +288,11 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
 ];
 
 /// FNV-1a of [`Snapshot::to_json`] for each golden shape at `0.2, 0.6,
-/// 1.0, 1.4, 2.0 × mid_s`, captured from the row-per-`String` writer this
-/// file's tests first pinned. Any change to the serialized bytes — not
-/// just to the key sets — trips it. (The closed-loop shape's midpoint is
-/// zero, so all five of its instants see the same state.)
+/// 1.0, 1.4, 2.0 × mid_s`. The round-trip test only shows that the writer
+/// and the reader agree; this pins the bytes themselves, so a writer
+/// rewrite must reproduce them exactly. A schema change updates these with
+/// the key sets above. (The closed-loop shape's midpoint is zero, so all
+/// five of its instants see the same state.)
 const SNAPSHOT_V1_DIGESTS: &[(&str, [u64; 5])] = &[
     (
         "colocated-poisson",
