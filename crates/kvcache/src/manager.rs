@@ -34,6 +34,10 @@ enum KvRole {
     Value,
 }
 
+/// The roles in `KvRole as usize` order: a sequence's cursor slot
+/// `head * 2 + role` has role `ROLES[slot % 2]`.
+const ROLES: [KvRole; 2] = [KvRole::Key, KvRole::Value];
+
 /// Errors returned by the KV manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvError {
@@ -119,10 +123,6 @@ impl CoreState {
         self.crossbars.iter().map(CrossbarBlocks::capacity_tokens).sum()
     }
 
-    fn used_tokens(&self) -> usize {
-        self.crossbars.iter().map(CrossbarBlocks::used_tokens).sum()
-    }
-
     /// Logical blocks currently allocated on this core, counted raw — the
     /// audit must see blocks awaiting post-fault eviction on failed
     /// crossbars too.
@@ -135,13 +135,144 @@ impl CoreState {
     }
 }
 
-/// Cursor of the block a (sequence, head, role) tuple is currently appending
-/// into.
-#[derive(Debug, Clone, Copy)]
+/// Occupancy of one role side: the sums a query would otherwise rescan
+/// every crossbar of every core for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Occupancy {
+    /// Token slots used, failed crossbars included (their blocks stay
+    /// resident until the evicted sequences release).
+    used_tokens: usize,
+    /// Token capacity of the healthy crossbars.
+    capacity_tokens: usize,
+    /// Crossbars not absorbed by a runtime fault.
+    healthy_crossbars: usize,
+}
+
+impl Occupancy {
+    /// The reference scan the incremental counters must always equal.
+    fn scan(cores: &[CoreState]) -> Occupancy {
+        let xbs = || cores.iter().flat_map(|c| c.crossbars.iter());
+        Occupancy {
+            used_tokens: xbs().map(CrossbarBlocks::used_tokens).sum(),
+            capacity_tokens: xbs().map(CrossbarBlocks::capacity_tokens).sum(),
+            healthy_crossbars: xbs().filter(|xb| !xb.is_failed()).count(),
+        }
+    }
+}
+
+/// The cores of one attention role with their occupancy counters. Every
+/// block mutation that changes used tokens, capacity or health goes
+/// through a method here, so the counters move at the same sites as the
+/// crossbars' own `free` / `used` counters.
+#[derive(Debug, Clone)]
+struct RoleSide {
+    cores: Vec<CoreState>,
+    occupancy: Occupancy,
+}
+
+impl RoleSide {
+    fn new(cores: Vec<CoreState>) -> RoleSide {
+        let occupancy = Occupancy::scan(&cores);
+        RoleSide { cores, occupancy }
+    }
+
+    /// The counters, checked against the scan in debug builds.
+    fn occupancy(&self) -> Occupancy {
+        debug_assert_eq!(self.occupancy, Occupancy::scan(&self.cores), "occupancy counters diverged");
+        self.occupancy
+    }
+
+    /// Appends up to `tokens` slots into `seq`'s block at `at`, returning
+    /// the slots that did not fit.
+    fn append(&mut self, at: Cursor, seq: u64, tokens: usize) -> usize {
+        let leftover = self.cores[at.core_index].crossbars[at.crossbar].append(at.block, seq, tokens);
+        self.occupancy.used_tokens += tokens - leftover;
+        leftover
+    }
+
+    /// Appends `tokens` slots for one (sequence, head) on this side at
+    /// `cursor`, opening blocks as the current one fills: K prefers a
+    /// different crossbar (it grows along the output-channel dimension), V
+    /// the same one. Each opened block is pushed onto `blocks` and becomes
+    /// the cursor.
+    fn append_for(
+        &mut self,
+        seq: u64,
+        role: KvRole,
+        cursor: &mut Option<Cursor>,
+        blocks: &mut Vec<(KvRole, Cursor)>,
+        tokens: usize,
+    ) -> Result<(), KvError> {
+        let mut remaining = tokens;
+        while remaining > 0 {
+            let at = cursor.ok_or(KvError::UnknownSequence(seq))?;
+            remaining = self.append(at, seq, remaining);
+            if remaining == 0 {
+                break;
+            }
+            // Leftover tokens mean the block at the cursor is full.
+            let xbs = &mut self.cores[at.core_index].crossbars;
+            let n = xbs.len();
+            let first = match role {
+                KvRole::Key => at.crossbar + 1,
+                KvRole::Value => at.crossbar,
+            };
+            let Some(crossbar) = (0..n).map(|i| (first + i) % n).find(|&xb| xbs[xb].free_blocks() > 0) else {
+                return Err(KvError::OutOfCapacity);
+            };
+            let block = xbs[crossbar].allocate(seq).expect("free block");
+            let opened = Cursor { core_index: at.core_index, crossbar, block };
+            blocks.push((role, opened));
+            *cursor = Some(opened);
+        }
+        Ok(())
+    }
+
+    /// Frees the block at `at` whoever owns it, returning whether it was
+    /// allocated.
+    fn free(&mut self, at: Cursor) -> bool {
+        let xb = &mut self.cores[at.core_index].crossbars[at.crossbar];
+        let used = xb.block_table()[at.block].map_or(0, |(_, used)| used);
+        let freed = xb.free_at(at.block);
+        self.occupancy.used_tokens -= used;
+        freed
+    }
+
+    /// Fails one healthy crossbar: its capacity leaves the side, its
+    /// resident tokens stay counted until released.
+    fn fail(&mut self, core_index: usize, crossbar: usize) {
+        let xb = &mut self.cores[core_index].crossbars[crossbar];
+        debug_assert!(!xb.is_failed(), "only a healthy crossbar can fail");
+        self.occupancy.capacity_tokens -= xb.capacity_tokens();
+        self.occupancy.healthy_crossbars -= 1;
+        xb.fail();
+    }
+}
+
+/// Position of a block within a role side's core list: the append cursor
+/// of a (sequence, head, role), a private block, or a shared-chain slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cursor {
     core_index: usize,
     crossbar: usize,
     block: usize,
+}
+
+/// Everything the manager tracks for one sequence, in one record so the
+/// per-token append and the release each make one map probe.
+#[derive(Debug, Clone, Default)]
+struct SeqKv {
+    /// Resident tokens (K side); `None` while the sequence is not
+    /// resident — a failed admission can hold only a shared reference.
+    tokens: Option<usize>,
+    /// Append cursor per `head * 2 + role`, bound at admission.
+    cursors: Vec<Option<Cursor>>,
+    /// Every private block, in allocation order, so release frees exactly
+    /// these instead of sweeping every crossbar. Shared prefix blocks are
+    /// owned by their group and are not listed here.
+    blocks: Vec<(KvRole, Cursor)>,
+    /// The shared chain `(group, leading nodes)` this sequence references.
+    shared: Option<(u64, usize)>,
 }
 
 /// Owner tag of shared-prefix blocks in the per-crossbar block tables:
@@ -150,22 +281,14 @@ struct Cursor {
 /// shared blocks.
 const SHARED_OWNER_TAG: u64 = 1 << 63;
 
-/// Physical location of one shared block (within the role-side core list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SharedSlot {
-    core_index: usize,
-    crossbar: usize,
-    block: usize,
-}
-
 /// One whole-block link of a shared prefix chain: the per-head K and V
 /// blocks holding `tokens_per_block` tokens of the prefix, plus how many
 /// resident sequences currently reference it.
 #[derive(Debug, Clone)]
 struct SharedNode {
     refs: usize,
-    k_slots: Vec<SharedSlot>,
-    v_slots: Vec<SharedSlot>,
+    k_slots: Vec<Cursor>,
+    v_slots: Vec<Cursor>,
 }
 
 /// The shared block chain of one prefix group. Sequences always reference a
@@ -326,24 +449,17 @@ pub struct KvManagerSnapshot {
 #[derive(Debug, Clone)]
 pub struct KvManager {
     config: KvManagerConfig,
-    key_cores: Vec<CoreState>,
-    value_cores: Vec<CoreState>,
+    /// The key side and the value side, indexed by `KvRole as usize`.
+    sides: [RoleSide; 2],
     page_table: PageTable,
     /// Ring pointer per role: index of the core after the last one assigned.
     ring_next: [usize; 2],
-    cursors: FastMap<(u64, usize, u8), Cursor>,
-    /// Every private block allocated to each sequence, recorded at
-    /// allocation time so [`KvManager::release`] frees exactly the
-    /// sequence's blocks instead of sweeping every crossbar of every
-    /// core. Shared prefix blocks are owned by their group, not the
-    /// sequence, and are not indexed here.
-    seq_blocks: FastMap<u64, Vec<(KvRole, Cursor)>>,
-    resident_tokens: FastMap<u64, usize>,
+    /// One record per sequence: residency, cursors, private blocks and
+    /// shared-chain reference.
+    seqs: FastMap<u64, SeqKv>,
     transfers: KvTransferStats,
     /// Shared prefix chains by group id.
     shared: FastMap<u64, SharedChain>,
-    /// How many leading chain nodes each resident sequence references.
-    seq_shared: FastMap<u64, (u64, usize)>,
     /// Lifetime logical-block allocations (audit counter).
     allocated_blocks: u64,
     /// Lifetime logical-block frees (audit counter).
@@ -375,16 +491,12 @@ impl KvManager {
         let value_cores = if value_cores.is_empty() { key_cores.clone() } else { value_cores };
         Ok(KvManager {
             config,
-            key_cores,
-            value_cores,
+            sides: [RoleSide::new(key_cores), RoleSide::new(value_cores)],
             page_table: PageTable::new(),
             ring_next: [0, 0],
-            cursors: FastMap::default(),
-            seq_blocks: FastMap::default(),
-            resident_tokens: FastMap::default(),
+            seqs: FastMap::default(),
             transfers: KvTransferStats::default(),
             shared: FastMap::default(),
-            seq_shared: FastMap::default(),
             allocated_blocks: 0,
             freed_blocks: 0,
         })
@@ -416,28 +528,35 @@ impl KvManager {
             .map(|(&seq, cores)| (seq, cores.iter().map(|c| c.0 as u64).collect()))
             .collect();
         page_table.sort_unstable_by_key(|(seq, _)| *seq);
-        let mut cursors: Vec<(u64, usize, u8, usize, usize, usize)> = self
-            .cursors
-            .iter()
-            .map(|(&(seq, head, role), c)| (seq, head, role, c.core_index, c.crossbar, c.block))
-            .collect();
-        cursors.sort_unstable_by_key(|&(seq, head, role, ..)| (seq, head, role));
-        let mut seq_blocks: Vec<SnapshotSeqBlocks> = self
-            .seq_blocks
-            .iter()
-            .map(|(&seq, blocks)| {
-                (
-                    seq,
-                    blocks.iter().map(|&(role, c)| (role as u8, c.core_index, c.crossbar, c.block)).collect(),
-                )
-            })
-            .collect();
-        seq_blocks.sort_unstable_by_key(|(seq, _)| *seq);
-        let mut resident_tokens: Vec<(u64, usize)> =
-            self.resident_tokens.iter().map(|(&seq, &tokens)| (seq, tokens)).collect();
-        resident_tokens.sort_unstable_by_key(|(seq, _)| *seq);
+        // The per-sequence lists are derived from the one record per
+        // sequence, visited in key order: a cursor slot `head * 2 + role`
+        // sorts as `(head, role)`.
+        let mut records: Vec<(u64, &SeqKv)> = self.seqs.iter().map(|(&seq, r)| (seq, r)).collect();
+        records.sort_unstable_by_key(|&(seq, _)| seq);
+        let mut cursors = Vec::new();
+        let mut seq_blocks: Vec<SnapshotSeqBlocks> = Vec::new();
+        let mut resident_tokens = Vec::new();
+        let mut seq_shared = Vec::new();
+        for &(seq, r) in &records {
+            for (slot, c) in r.cursors.iter().enumerate() {
+                if let Some(c) = c {
+                    cursors.push((seq, slot / 2, (slot % 2) as u8, c.core_index, c.crossbar, c.block));
+                }
+            }
+            if !r.blocks.is_empty() {
+                let blocks =
+                    r.blocks.iter().map(|&(role, c)| (role as u8, c.core_index, c.crossbar, c.block));
+                seq_blocks.push((seq, blocks.collect()));
+            }
+            if let Some(tokens) = r.tokens {
+                resident_tokens.push((seq, tokens));
+            }
+            if let Some((group, n)) = r.shared {
+                seq_shared.push((seq, group, n));
+            }
+        }
         let slot_tuples =
-            |slots: &[SharedSlot]| slots.iter().map(|s| (s.core_index, s.crossbar, s.block)).collect();
+            |slots: &[Cursor]| slots.iter().map(|s| (s.core_index, s.crossbar, s.block)).collect();
         let mut shared: Vec<(u64, SharedChainSnapshot)> = self
             .shared
             .iter()
@@ -457,16 +576,13 @@ impl KvManager {
             })
             .collect();
         shared.sort_unstable_by_key(|(group, _)| *group);
-        let mut seq_shared: Vec<(u64, u64, usize)> =
-            self.seq_shared.iter().map(|(&seq, &(group, n))| (seq, group, n)).collect();
-        seq_shared.sort_unstable_by_key(|&(seq, ..)| seq);
         KvManagerSnapshot {
             ring_next: self.ring_next,
             allocated_blocks: self.allocated_blocks,
             freed_blocks: self.freed_blocks,
             transfers: self.transfers,
-            key_cores: side(&self.key_cores),
-            value_cores: side(&self.value_cores),
+            key_cores: side(self.cores(KvRole::Key)),
+            value_cores: side(self.cores(KvRole::Value)),
             page_table,
             cursors,
             seq_blocks,
@@ -483,15 +599,17 @@ impl KvManager {
     ///
     /// Returns [`KvError::NoKvCores`] when the configuration has no KV
     /// cores, and [`KvError::SnapshotGeometry`] when the snapshot's core,
-    /// crossbar or block counts do not match the configuration — snapshots
+    /// crossbar or block counts do not match the configuration, or a
+    /// cursor names a head or role the configuration lacks — snapshots
     /// are only meaningful against the system that produced them.
     pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvError> {
         let mut m = KvManager::new(config)?;
-        let restore_side = |cores: &mut Vec<CoreState>, side: &[Vec<CrossbarSnapshot>]| {
-            if cores.len() != side.len() {
+        let restore_side = |side: &mut RoleSide, snap_side: &[Vec<CrossbarSnapshot>]| {
+            let cores = &mut side.cores;
+            if cores.len() != snap_side.len() {
                 return Err(KvError::SnapshotGeometry("core"));
             }
-            for (core, xbs) in cores.iter_mut().zip(side) {
+            for (core, xbs) in cores.iter_mut().zip(snap_side) {
                 if core.crossbars.len() != xbs.len() {
                     return Err(KvError::SnapshotGeometry("crossbar"));
                 }
@@ -502,10 +620,12 @@ impl KvManager {
                     *xb = CrossbarBlocks::from_snapshot(xb.tokens_per_block(), s.blocks.clone(), s.failed);
                 }
             }
+            side.occupancy = Occupancy::scan(&side.cores);
             Ok(())
         };
-        restore_side(&mut m.key_cores, &snap.key_cores)?;
-        restore_side(&mut m.value_cores, &snap.value_cores)?;
+        let [key, value] = &mut m.sides;
+        restore_side(key, &snap.key_cores)?;
+        restore_side(value, &snap.value_cores)?;
         m.ring_next = snap.ring_next;
         m.allocated_blocks = snap.allocated_blocks;
         m.freed_blocks = snap.freed_blocks;
@@ -515,26 +635,26 @@ impl KvManager {
         }
         let role_of = |r: u8| if r == 0 { KvRole::Key } else { KvRole::Value };
         for &(seq, head, role, core_index, crossbar, block) in &snap.cursors {
-            m.cursors.insert((seq, head, role), Cursor { core_index, crossbar, block });
+            if head >= m.config.heads || role > 1 {
+                return Err(KvError::SnapshotGeometry("head"));
+            }
+            m.record(seq).cursors[head * 2 + role as usize] = Some(Cursor { core_index, crossbar, block });
         }
         for (seq, blocks) in &snap.seq_blocks {
-            m.seq_blocks.insert(
-                *seq,
-                blocks
-                    .iter()
-                    .map(|&(role, core_index, crossbar, block)| {
-                        (role_of(role), Cursor { core_index, crossbar, block })
-                    })
-                    .collect(),
-            );
+            m.record(*seq).blocks = blocks
+                .iter()
+                .map(|&(role, core_index, crossbar, block)| {
+                    (role_of(role), Cursor { core_index, crossbar, block })
+                })
+                .collect();
         }
         for &(seq, tokens) in &snap.resident_tokens {
-            m.resident_tokens.insert(seq, tokens);
+            m.record(seq).tokens = Some(tokens);
         }
         for (group, chain) in &snap.shared {
             let slots = |v: &[(usize, usize, usize)]| {
                 v.iter()
-                    .map(|&(core_index, crossbar, block)| SharedSlot { core_index, crossbar, block })
+                    .map(|&(core_index, crossbar, block)| Cursor { core_index, crossbar, block })
                     .collect()
             };
             m.shared.insert(
@@ -551,33 +671,34 @@ impl KvManager {
             );
         }
         for &(seq, group, n) in &snap.seq_shared {
-            m.seq_shared.insert(seq, (group, n));
+            m.record(seq).shared = Some((group, n));
         }
         Ok(m)
     }
 
-    fn cores(&self, role: KvRole) -> &[CoreState] {
-        match role {
-            KvRole::Key => &self.key_cores,
-            KvRole::Value => &self.value_cores,
-        }
+    /// The record of `seq`, created empty (no cursor bound, not resident)
+    /// on first use.
+    fn record(&mut self, seq: u64) -> &mut SeqKv {
+        let slots = 2 * self.config.heads;
+        self.seqs.entry(seq).or_insert_with(|| SeqKv { cursors: vec![None; slots], ..SeqKv::default() })
     }
 
-    fn cores_mut(&mut self, role: KvRole) -> &mut Vec<CoreState> {
-        match role {
-            KvRole::Key => &mut self.key_cores,
-            KvRole::Value => &mut self.value_cores,
-        }
+    fn cores(&self, role: KvRole) -> &[CoreState] {
+        &self.sides[role as usize].cores
+    }
+
+    fn side_mut(&mut self, role: KvRole) -> &mut RoleSide {
+        &mut self.sides[role as usize]
     }
 
     /// Total token capacity (per role side; K and V are symmetric).
     pub fn capacity_tokens(&self) -> usize {
-        self.key_cores.iter().map(CoreState::capacity_tokens).sum()
+        self.sides[KvRole::Key as usize].occupancy().capacity_tokens
     }
 
     /// Tokens currently stored on the K side.
     pub fn used_tokens(&self) -> usize {
-        self.key_cores.iter().map(CoreState::used_tokens).sum()
+        self.sides[KvRole::Key as usize].occupancy().used_tokens
     }
 
     /// K-side storage utilisation in `[0, 1]`.
@@ -592,12 +713,12 @@ impl KvManager {
 
     /// Number of resident sequences.
     pub fn resident_sequences(&self) -> usize {
-        self.resident_tokens.len()
+        self.seqs.values().filter(|r| r.tokens.is_some()).count()
     }
 
     /// Tokens resident for one sequence (K side), if it is resident.
     pub fn sequence_tokens(&self, seq: u64) -> Option<usize> {
-        self.resident_tokens.get(&seq).copied()
+        self.seqs.get(&seq).and_then(|r| r.tokens)
     }
 
     /// Upper bound on how many sequences of `tokens` tokens each could be
@@ -611,7 +732,7 @@ impl KvManager {
         }
         let blocks_per_head = tokens.div_ceil(per_block);
         let total_blocks: usize = self
-            .key_cores
+            .cores(KvRole::Key)
             .iter()
             .map(|c| c.crossbars.iter().map(CrossbarBlocks::num_blocks).sum::<usize>())
             .sum();
@@ -654,9 +775,11 @@ impl KvManager {
         initial_tokens: usize,
         prefix: Option<(u64, usize)>,
     ) -> Result<usize, KvError> {
-        // A stale entry would leak references if the caller re-admits
-        // without releasing; drop it first.
-        self.detach_shared(seq);
+        // A stale reference would leak if the caller re-admits without
+        // releasing; drop it first.
+        if let Some(shared) = self.seqs.get_mut(&seq).and_then(|r| r.shared.take()) {
+            self.detach_shared(shared);
+        }
         // `shared` tokens live in shared blocks (reused + newly populated);
         // only the `cached` portion pre-existed and skips prefill — the
         // first sharer computes the prefix KV it deposits in the chain.
@@ -668,9 +791,9 @@ impl KvManager {
         let head_cores_k = self.pick_head_cores(KvRole::Key, 0)?;
         let head_cores_v = self.pick_head_cores(KvRole::Value, 1)?;
         // Record the page-table entry using the K-side cores (one per head).
-        let pt_cores: Vec<CoreId> = head_cores_k.iter().map(|&i| self.key_cores[i].id).collect();
+        let pt_cores: Vec<CoreId> = head_cores_k.iter().map(|&i| self.cores(KvRole::Key)[i].id).collect();
         self.page_table.insert(seq, pt_cores);
-        self.resident_tokens.insert(seq, shared);
+        self.record(seq).tokens = Some(shared);
         // Allocate the private cursors and fill the non-shared tokens.
         for head in 0..heads {
             self.bind_cursor(seq, head, KvRole::Key, head_cores_k[head])?;
@@ -775,7 +898,7 @@ impl KvManager {
         for node in &mut chain.nodes[..use_nodes] {
             node.refs += 1;
         }
-        self.seq_shared.insert(seq, (group, use_nodes));
+        self.record(seq).shared = Some((group, use_nodes));
         (use_nodes * tpb, existing.min(use_nodes) * tpb)
     }
 
@@ -837,29 +960,30 @@ impl KvManager {
         core_index: usize,
         owner: u64,
         tpb: usize,
-    ) -> Option<SharedSlot> {
-        let core = &mut self.cores_mut(role)[core_index];
-        let xb = core.crossbars.iter().position(|c| c.free_blocks() > 0)?;
-        let block = core.crossbars[xb].allocate(owner).expect("free block just checked");
-        let leftover = core.crossbars[xb].append(block, owner, tpb);
+    ) -> Option<Cursor> {
+        let side = self.side_mut(role);
+        let core = &mut side.cores[core_index];
+        let crossbar = core.crossbars.iter().position(|c| c.free_blocks() > 0)?;
+        let block = core.crossbars[crossbar].allocate(owner).expect("free block just checked");
+        let slot = Cursor { core_index, crossbar, block };
+        let leftover = side.append(slot, owner, tpb);
         debug_assert_eq!(leftover, 0, "a fresh block holds a whole prefix node");
         self.allocated_blocks += 1;
-        Some(SharedSlot { core_index, crossbar: xb, block })
+        Some(slot)
     }
 
     /// Frees one shared block (audit-counted once, whichever path frees it).
-    fn free_shared_slot(&mut self, role: KvRole, slot: SharedSlot) {
-        let core = &mut self.cores_mut(role)[slot.core_index];
-        if core.crossbars[slot.crossbar].free_at(slot.block) {
+    fn free_shared_slot(&mut self, role: KvRole, slot: Cursor) {
+        if self.side_mut(role).free(slot) {
             self.freed_blocks += 1;
         }
     }
 
-    /// Drops `seq`'s references on its shared chain, freeing every node
-    /// whose refcount reaches zero (sequences reference leading runs, so
-    /// zero-ref nodes always form a chain suffix).
-    fn detach_shared(&mut self, seq: u64) {
-        let Some((group, n)) = self.seq_shared.remove(&seq) else { return };
+    /// Drops one sequence's reference `(group, n)` on the group's shared
+    /// chain, freeing every node whose refcount reaches zero (sequences
+    /// reference leading runs, so zero-ref nodes always form a chain
+    /// suffix).
+    fn detach_shared(&mut self, (group, n): (u64, usize)) {
         let mut to_free: Vec<SharedNode> = Vec::new();
         let mut drop_group = false;
         if let Some(chain) = self.shared.get_mut(&group) {
@@ -886,8 +1010,7 @@ impl KvManager {
     }
 
     fn bind_cursor(&mut self, seq: u64, head: usize, role: KvRole, core_index: usize) -> Result<(), KvError> {
-        let cores = self.cores_mut(role);
-        let core = &mut cores[core_index];
+        let core = &mut self.side_mut(role).cores[core_index];
         // Find a crossbar with a free block.
         let Some(xb) = core.crossbars.iter().position(|c| c.free_blocks() > 0) else {
             return Err(KvError::OutOfCapacity);
@@ -898,8 +1021,9 @@ impl KvManager {
         }
         self.allocated_blocks += 1;
         let cursor = Cursor { core_index, crossbar: xb, block };
-        self.seq_blocks.entry(seq).or_default().push((role, cursor));
-        self.cursors.insert((seq, head, role as u8), cursor);
+        let record = self.record(seq);
+        record.blocks.push((role, cursor));
+        record.cursors[head * 2 + role as usize] = Some(cursor);
         Ok(())
     }
 
@@ -912,59 +1036,20 @@ impl KvManager {
     /// Returns [`KvError::UnknownSequence`] if the sequence is not resident or
     /// [`KvError::OutOfCapacity`] if a head cannot grow.
     pub fn append_tokens(&mut self, seq: u64, tokens: usize) -> Result<(), KvError> {
-        if !self.resident_tokens.contains_key(&seq) {
+        let KvManager { sides, seqs, allocated_blocks, .. } = self;
+        let Some(SeqKv { tokens: Some(resident), cursors, blocks, .. }) = seqs.get_mut(&seq) else {
             return Err(KvError::UnknownSequence(seq));
+        };
+        // Slot `head * 2 + role`: heads in order, K before V within each.
+        for (slot, cursor) in cursors.iter_mut().enumerate() {
+            let role = ROLES[slot % 2];
+            let before = blocks.len();
+            let grown = sides[role as usize].append_for(seq, role, cursor, blocks, tokens);
+            // Every block the append opened was pushed onto `blocks`.
+            *allocated_blocks += (blocks.len() - before) as u64;
+            grown?;
         }
-        for head in 0..self.config.heads {
-            for role in [KvRole::Key, KvRole::Value] {
-                self.append_for(seq, head, role, tokens)?;
-            }
-        }
-        *self.resident_tokens.get_mut(&seq).expect("resident") += tokens;
-        Ok(())
-    }
-
-    fn append_for(&mut self, seq: u64, head: usize, role: KvRole, tokens: usize) -> Result<(), KvError> {
-        let key = (seq, head, role as u8);
-        let mut remaining = tokens;
-        while remaining > 0 {
-            let cursor = *self.cursors.get(&key).ok_or(KvError::UnknownSequence(seq))?;
-            let cores = self.cores_mut(role);
-            let core = &mut cores[cursor.core_index];
-            let leftover = core.crossbars[cursor.crossbar].append(cursor.block, seq, remaining);
-            let consumed = remaining - leftover;
-            remaining = leftover;
-            if remaining == 0 {
-                break;
-            }
-            if consumed == 0 || core.crossbars[cursor.crossbar].remaining(cursor.block, seq) == 0 {
-                // Need a new block; K prefers a different crossbar, V the same.
-                let order: Vec<usize> = match role {
-                    KvRole::Key => (0..core.crossbars.len())
-                        .map(|i| (cursor.crossbar + 1 + i) % core.crossbars.len())
-                        .collect(),
-                    KvRole::Value => (0..core.crossbars.len())
-                        .map(|i| (cursor.crossbar + i) % core.crossbars.len())
-                        .collect(),
-                };
-                let mut found = None;
-                for xb in order {
-                    if core.crossbars[xb].free_blocks() > 0 {
-                        let block = core.crossbars[xb].allocate(seq).expect("free block");
-                        found = Some(Cursor { core_index: cursor.core_index, crossbar: xb, block });
-                        break;
-                    }
-                }
-                match found {
-                    Some(c) => {
-                        self.allocated_blocks += 1;
-                        self.seq_blocks.entry(seq).or_default().push((role, c));
-                        self.cursors.insert(key, c);
-                    }
-                    None => return Err(KvError::OutOfCapacity),
-                }
-            }
-        }
+        *resident += tokens;
         Ok(())
     }
 
@@ -973,43 +1058,41 @@ impl KvManager {
     /// rather than freed; a shared block is freed only when its last sharer
     /// releases.
     pub fn release(&mut self, seq: u64) -> usize {
-        let tokens = self.resident_tokens.remove(&seq).unwrap_or(0);
-        // Free exactly the blocks the allocation paths indexed for this
+        let record = self.seqs.remove(&seq).unwrap_or_default();
+        // Free exactly the blocks the allocation paths recorded for this
         // sequence — the only paths that ever free private blocks run
-        // through here, so every indexed block is still owned by `seq`.
-        for (role, c) in self.seq_blocks.remove(&seq).unwrap_or_default() {
-            let core = &mut self.cores_mut(role)[c.core_index];
-            if core.crossbars[c.crossbar].free_at(c.block) {
+        // through here, so every recorded block is still owned by `seq`.
+        for &(role, c) in &record.blocks {
+            if self.side_mut(role).free(c) {
                 self.freed_blocks += 1;
             }
         }
-        // Bitmap slots and cursors exist only on cores where a cursor was
-        // bound; `clear_sequence` is a no-op (returns 0 without mutating)
-        // on cores the sequence never touched, so visiting the cursor
-        // cores is equivalent to the old every-core sweep.
-        for head in 0..self.config.heads {
-            for role in [KvRole::Key, KvRole::Value] {
-                if let Some(cursor) = self.cursors.remove(&(seq, head, role as u8)) {
-                    self.cores_mut(role)[cursor.core_index].bitmap.clear_sequence(seq);
-                }
+        // Bitmap slots exist only on cores where a cursor was bound;
+        // `clear_sequence` is a no-op (returns 0 without mutating) on cores
+        // the sequence never touched, so visiting the cursor cores is
+        // equivalent to an every-core sweep.
+        for (slot, cursor) in record.cursors.iter().enumerate() {
+            if let Some(c) = cursor {
+                self.side_mut(ROLES[slot % 2]).cores[c.core_index].bitmap.clear_sequence(seq);
             }
         }
         #[cfg(debug_assertions)]
-        for core in self.key_cores.iter().chain(self.value_cores.iter()) {
+        for core in self.all_cores() {
             for xb in &core.crossbars {
                 debug_assert!(!xb.owns_any(seq), "per-sequence block index missed a block");
             }
         }
         self.page_table.remove(seq);
-        self.detach_shared(seq);
-        tokens
+        if let Some(shared) = record.shared {
+            self.detach_shared(shared);
+        }
+        record.tokens.unwrap_or(0)
     }
 
     /// The lifetime block audit (`allocated − freed == live`), with shared
     /// prefix blocks counted once inside both `live` and `shared_live`.
     pub fn block_audit(&self) -> BlockAudit {
-        let live: u64 =
-            self.key_cores.iter().chain(self.value_cores.iter()).map(CoreState::live_blocks).sum();
+        let live: u64 = self.all_cores().map(CoreState::live_blocks).sum();
         let shared_live: u64 = self
             .shared
             .values()
@@ -1021,8 +1104,7 @@ impl KvManager {
 
     /// One-call occupancy snapshot for periodic samplers:
     /// `(used tokens, capacity tokens, block audit)`. Equivalent to the
-    /// three individual accessors, bundled so a telemetry cadence point
-    /// walks the core arrays once per wafer instead of three times.
+    /// three individual accessors; only the audit walks the core arrays.
     pub fn occupancy_snapshot(&self) -> (usize, usize, BlockAudit) {
         (self.used_tokens(), self.capacity_tokens(), self.block_audit())
     }
@@ -1030,23 +1112,23 @@ impl KvManager {
     /// Total KV cores across both roles (key side first, then value side) —
     /// the core-index space of [`KvManager::fail_kv_core`].
     pub fn num_kv_cores(&self) -> usize {
-        self.key_cores.len() + self.value_cores.len()
+        self.sides.iter().map(|side| side.cores.len()).sum()
+    }
+
+    /// Every core, key side first, then value side.
+    fn all_cores(&self) -> impl Iterator<Item = &CoreState> {
+        self.sides.iter().flat_map(|side| side.cores.iter())
     }
 
     /// Total failure quanta: attention-mode crossbars across every core of
     /// both roles. A wafer dies after this many faults at the latest.
     pub fn num_kv_units(&self) -> usize {
-        self.key_cores.iter().chain(self.value_cores.iter()).map(|c| c.crossbars.len()).sum()
+        self.all_cores().map(|c| c.crossbars.len()).sum()
     }
 
     /// Crossbars absorbed by runtime failures so far.
     pub fn failed_kv_units(&self) -> usize {
-        self.key_cores
-            .iter()
-            .chain(self.value_cores.iter())
-            .flat_map(|c| c.crossbars.iter())
-            .filter(|xb| xb.is_failed())
-            .count()
+        self.num_kv_units() - self.sides.iter().map(|side| side.occupancy().healthy_crossbars).sum::<usize>()
     }
 
     /// Fraction of KV crossbars still healthy, in `[0, 1]`.
@@ -1063,8 +1145,7 @@ impl KvManager {
     /// at least one healthy crossbar (K and V of every head must land
     /// somewhere).
     pub fn is_serviceable(&self) -> bool {
-        self.key_cores.iter().any(|c| c.healthy_crossbars() > 0)
-            && self.value_cores.iter().any(|c| c.healthy_crossbars() > 0)
+        self.sides.iter().all(|side| side.occupancy().healthy_crossbars > 0)
     }
 
     /// Fails one attention-mode crossbar — the physical-KV-core equivalent
@@ -1079,23 +1160,26 @@ impl KvManager {
     /// Returns `None` when every crossbar has already failed.
     pub fn fail_kv_core(&mut self, preferred: usize) -> Option<KvCoreFailure> {
         let n = self.num_kv_cores();
-        let k = self.key_cores.len();
+        let k = self.cores(KvRole::Key).len();
+        let locate = |i: usize| if i < k { (KvRole::Key, i) } else { (KvRole::Value, i - k) };
         let index = (0..n).map(|o| (preferred + o) % n).find(|&i| {
-            let core = if i < k { &self.key_cores[i] } else { &self.value_cores[i - k] };
-            core.healthy_crossbars() > 0
+            let (role, c) = locate(i);
+            self.cores(role)[c].healthy_crossbars() > 0
         })?;
-        let failed_role = if index < k { KvRole::Key } else { KvRole::Value };
-        let role_core = if index < k { index } else { index - k };
-        let core = if index < k { &mut self.key_cores[index] } else { &mut self.value_cores[index - k] };
+        let (failed_role, role_core) = locate(index);
+        let core = &self.cores(failed_role)[role_core];
         let xb_idx =
             core.crossbars.iter().position(|xb| !xb.is_failed()).expect("scan found a healthy crossbar");
         let id = core.id;
-        let xb = &mut core.crossbars[xb_idx];
-        let mut evicted_tokens = xb.used_tokens();
-        xb.fail();
-        let xb = &core.crossbars[xb_idx];
-        let mut evicted: Vec<u64> =
-            self.resident_tokens.keys().copied().filter(|&seq| xb.owns_any(seq)).collect();
+        let mut evicted_tokens = core.crossbars[xb_idx].used_tokens();
+        self.side_mut(failed_role).fail(role_core, xb_idx);
+        let xb = &self.cores(failed_role)[role_core].crossbars[xb_idx];
+        let mut evicted: Vec<u64> = self
+            .seqs
+            .iter()
+            .filter(|(&seq, r)| r.tokens.is_some() && xb.owns_any(seq))
+            .map(|(&seq, _)| seq)
+            .collect();
         // Shared prefix chains with a node on the failed crossbar lose part
         // of their prefix KV: every sharer must be evicted for recompute,
         // and the whole chain is freed (each block exactly once — sharers'
@@ -1120,7 +1204,7 @@ impl KvManager {
             for node in chain.nodes {
                 // Chain blocks off the failed crossbar are additional
                 // losses; those on it are already inside `xb.used_tokens()`.
-                let off_failed = |role: KvRole, s: &SharedSlot| {
+                let off_failed = |role: KvRole, s: &Cursor| {
                     role != failed_role || s.core_index != role_core || s.crossbar != xb_idx
                 };
                 for slot in node.k_slots {
@@ -1136,11 +1220,11 @@ impl KvManager {
                     self.free_shared_slot(KvRole::Value, slot);
                 }
             }
-            let sharers: Vec<u64> =
-                self.seq_shared.iter().filter(|(_, &(g, _))| g == group).map(|(&s, _)| s).collect();
-            for s in sharers {
-                self.seq_shared.remove(&s);
-                evicted.push(s);
+            for (&seq, record) in &mut self.seqs {
+                if record.shared.is_some_and(|(g, _)| g == group) {
+                    record.shared = None;
+                    evicted.push(seq);
+                }
             }
         }
         evicted.sort_unstable();
@@ -1158,7 +1242,7 @@ impl KvManager {
     /// Returns [`KvError::UnknownSequence`] when the sequence is not
     /// resident.
     pub fn export_sequence(&mut self, seq: u64) -> Result<usize, KvError> {
-        if !self.resident_tokens.contains_key(&seq) {
+        if self.sequence_tokens(seq).is_none() {
             return Err(KvError::UnknownSequence(seq));
         }
         let tokens = self.release(seq);
@@ -1232,6 +1316,18 @@ mod tests {
         KvManager::new(KvManagerConfig::new(ids, heads, 128)).unwrap()
     }
 
+    /// `(used_tokens, capacity_tokens, is_serviceable)` from an explicit
+    /// crossbar scan — the reference the incremental counters must equal
+    /// in release builds too, where their debug asserts are compiled out.
+    fn scanned_occupancy(m: &KvManager) -> (usize, usize, bool) {
+        let [key, value] = [KvRole::Key, KvRole::Value].map(|role| Occupancy::scan(m.cores(role)));
+        (key.used_tokens, key.capacity_tokens, key.healthy_crossbars > 0 && value.healthy_crossbars > 0)
+    }
+
+    fn counted_occupancy(m: &KvManager) -> (usize, usize, bool) {
+        (m.used_tokens(), m.capacity_tokens(), m.is_serviceable())
+    }
+
     #[test]
     fn snapshot_restore_preserves_every_observable() {
         let mut m = manager(8, 2);
@@ -1281,11 +1377,22 @@ mod tests {
             KvManager::restore(config.clone(), &crossbars).unwrap_err(),
             KvError::SnapshotGeometry("crossbar")
         );
-        let mut cores = snap;
+        let mut cores = snap.clone();
         cores.key_cores.pop();
-        let err = KvManager::restore(config, &cores).unwrap_err();
+        let err = KvManager::restore(config.clone(), &cores).unwrap_err();
         assert_eq!(err, KvError::SnapshotGeometry("core"));
         assert_eq!(err.to_string(), "snapshot core count does not match the kv configuration");
+        // A cursor of a head or role the configuration lacks is rejected,
+        // not indexed out of bounds.
+        for (head, role) in [(2, 0), (0, 2)] {
+            let mut cursors = snap.clone();
+            cursors.cursors[0].1 = head;
+            cursors.cursors[0].2 = role;
+            assert_eq!(
+                KvManager::restore(config.clone(), &cursors).unwrap_err(),
+                KvError::SnapshotGeometry("head")
+            );
+        }
     }
 
     #[test]
@@ -1561,6 +1668,7 @@ mod tests {
                         "allocated {} − freed {} != live {}",
                         audit.allocated, audit.freed, audit.live
                     );
+                    prop_assert_eq!(counted_occupancy(&m), scanned_occupancy(&m));
                 }
                 // Draining everything returns the audit to zero live blocks.
                 let resident: Vec<u64> = (0..6).collect();
@@ -1728,6 +1836,7 @@ mod tests {
                         "allocated {} − freed {} != live {} (shared {})",
                         audit.allocated, audit.freed, audit.live, audit.shared_live
                     );
+                    prop_assert_eq!(counted_occupancy(&m), scanned_occupancy(&m));
                 }
                 for seq in 0..8 {
                     m.release(seq);

@@ -225,8 +225,9 @@ impl<T: Copy> IndexQueue<T> {
     }
 
     /// Live entries in queue order — the reference view for the
-    /// debug-build differential checks against the old linear scans.
-    #[cfg(debug_assertions)]
+    /// debug-build differential checks against the old linear scans, and
+    /// for the tests in either build.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn ordered(&self) -> Vec<(f64, T)> {
         self.entries()
     }

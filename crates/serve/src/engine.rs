@@ -155,6 +155,8 @@ pub enum Admission {
 #[derive(Debug, Clone)]
 pub struct Engine {
     pub(crate) times: HwStageTimes,
+    /// Memo of the step's stage-time sums, keyed on `times.mean_hops`.
+    pub(crate) step_prices: stage::decode::StepPrices,
     pub(crate) manager: KvManager,
     pub(crate) config: EngineConfig,
     pub(crate) records: Vec<RequestRecord>,
@@ -191,6 +193,7 @@ impl Engine {
         assert!(config.prefill_chunk > 0, "prefill_chunk must be positive");
         Ok(Engine {
             times,
+            step_prices: stage::decode::StepPrices::default(),
             manager: KvManager::new(kv)?,
             config,
             records: Vec::new(),
@@ -952,6 +955,76 @@ mod tests {
             e.records()[0].completed_s
         };
         assert!(run(true) > run(false));
+    }
+
+    /// Steps `e` until it drains. Every step whose batch is fixed before
+    /// it starts (nothing queued to admit) must last exactly what a direct
+    /// `HwStageTimes` pricing of its own mean context gives, bit for bit —
+    /// a stale step-pricing memo would not. Returns the steps checked.
+    fn check_step_prices(e: &mut Engine) -> usize {
+        let mut checked = 0;
+        while e.has_work() {
+            if !e.pending.is_empty() || e.active.is_empty() {
+                e.step();
+                continue;
+            }
+            let ctx_sum: f64 =
+                e.active.iter().map(|a| (e.records[a.rec].prompt_len + a.decoded) as f64).sum();
+            let ctx = (ctx_sum / e.active.len() as f64).max(1.0) as usize;
+            let (tokens, step_s) = stage::decode::plan_step(e);
+            let pipeline_s = e.times.token_pipeline_latency_s(ctx);
+            let direct_s = if tokens == 0 {
+                pipeline_s
+            } else {
+                pipeline_s.max(tokens as f64 * e.times.bottleneck_stage_s(ctx))
+            };
+            assert_eq!(step_s.to_bits(), direct_s.to_bits(), "step at mean context {ctx}");
+            let start_s = e.clock_s;
+            e.step();
+            assert_eq!(e.clock_s.to_bits(), (start_s + step_s).to_bits(), "the step lasts its planned time");
+            checked += 1;
+        }
+        checked
+    }
+
+    #[test]
+    fn step_pricing_follows_mean_hops_through_faults_and_resume() {
+        use crate::{FaultConfig, Scenario, Snapshot};
+        use ouro_sim::{OuroborosConfig, OuroborosSystem};
+        use ouro_workload::{ArrivalConfig, LengthConfig, TraceGenerator};
+
+        // Prefill chunks of one 1024-token prompt all run at mean context
+        // 1024, before the fault and again when the evicted sequence
+        // recomputes after it: the memo is asked for a context it priced
+        // under the old hop distance.
+        let mut e = engine(8);
+        e.submit_with(Request::new(0, 1024, 8), 0.0, Admission::Local, 0, 0);
+        e.step();
+        let stale_s = e.times.token_pipeline_latency_s(1024);
+        let t = e.clock_s();
+        e.apply_fault(t, 0.0, 0, 1.0).expect("healthy crossbars remain");
+        assert_ne!(stale_s, e.times.token_pipeline_latency_s(1024), "the fault must reprice the stages");
+        assert!(check_step_prices(&mut e) > 0);
+
+        // A resumed engine starts from the snapshot's mean hops, not the
+        // system's.
+        let sys = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap();
+        let trace = TraceGenerator::new(5).generate(&LengthConfig::fixed(64, 32), 60);
+        let scenario = Scenario::colocated(2)
+            .faults(FaultConfig::new(0.02, 5))
+            .workload(ArrivalConfig::Poisson { rate_rps: 400.0 }.assign(&trace, 5));
+        let base_hops = sys.stage_times().mean_hops;
+        let mut run = scenario.start(&sys).unwrap();
+        while run.engines().iter().all(|e| e.times.mean_hops == base_hops) {
+            assert!(run.step_once(), "the 20 ms MTBF must fire before the run drains");
+        }
+        let snap = Snapshot::parse(&scenario.checkpoint(&run).to_json()).unwrap();
+        let resumed = scenario.resume(&sys, &snap).unwrap();
+        let faulted = resumed.engines().iter().position(|e| e.times.mean_hops != base_hops).unwrap();
+        let mut e = resumed.engines()[faulted].clone();
+        let rec = e.records().len();
+        e.submit_with(Request::new(rec, 64, 32), e.clock_s(), Admission::Local, rec, faulted);
+        assert!(check_step_prices(&mut e) > 0);
     }
 
     #[test]

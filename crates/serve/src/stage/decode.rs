@@ -4,7 +4,45 @@
 use super::Stage;
 use crate::engine::Engine;
 use ouro_kvcache::KvError;
+use ouro_sim::HwStageTimes;
 use ouro_trace::EventKind;
+
+/// The step-pricing memo: `(token_pipeline_latency_s, bottleneck_stage_s)`
+/// per mean context, priced on first use. Both depend only on the mean
+/// context and the engine's `HwStageTimes`, whose one field that changes
+/// at run time is `mean_hops` (a fault adds its penalty, a resume restores
+/// it); the table is keyed on its bits, so either empties it without a
+/// call site of its own. Derived state: never checkpointed, and it holds
+/// the exact `f64`s a direct pricing returns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StepPrices {
+    /// `mean_hops.to_bits()` the table was priced under.
+    mean_hops_bits: u64,
+    by_context: Vec<Option<(f64, f64)>>,
+}
+
+impl StepPrices {
+    /// `(pipeline latency, bottleneck interval)` at `mean_ctx` under `times`.
+    pub(crate) fn get(&mut self, times: &HwStageTimes, mean_ctx: usize) -> (f64, f64) {
+        let bits = times.mean_hops.to_bits();
+        if bits != self.mean_hops_bits {
+            self.by_context.clear();
+            self.mean_hops_bits = bits;
+        }
+        if mean_ctx >= self.by_context.len() {
+            self.by_context.resize(mean_ctx + 1, None);
+        }
+        let prices = *self.by_context[mean_ctx].get_or_insert_with(|| {
+            (times.token_pipeline_latency_s(mean_ctx), times.bottleneck_stage_s(mean_ctx))
+        });
+        debug_assert_eq!(
+            prices,
+            (times.token_pipeline_latency_s(mean_ctx), times.bottleneck_stage_s(mean_ctx)),
+            "step-pricing memo went stale"
+        );
+        prices
+    }
+}
 
 /// Work selection for one iteration: a chunk of prefill tokens per
 /// prefilling sequence, one decode token per decoding sequence — all
@@ -16,8 +54,9 @@ use ouro_trace::EventKind;
 /// drains before it refills, with many it streams one token per bottleneck
 /// interval. The context accumulation is order-sensitive floating point
 /// over the active set, so it stays one loop — splitting it per-stage
-/// would reorder the sum and perturb every golden.
-pub(crate) fn plan_step(e: &Engine) -> (usize, f64) {
+/// would reorder the sum and perturb every golden. The two stage-time sums
+/// come from the engine's [`StepPrices`] memo.
+pub(crate) fn plan_step(e: &mut Engine) -> (usize, f64) {
     let mut step_tokens = 0usize;
     let mut ctx_sum = 0.0f64;
     for a in &e.active {
@@ -31,8 +70,7 @@ pub(crate) fn plan_step(e: &Engine) -> (usize, f64) {
         }
     }
     let mean_ctx = (ctx_sum / e.active.len() as f64).max(1.0) as usize;
-    let pipeline_s = e.times.token_pipeline_latency_s(mean_ctx);
-    let bottleneck_s = e.times.bottleneck_stage_s(mean_ctx);
+    let (pipeline_s, bottleneck_s) = e.step_prices.get(&e.times, mean_ctx);
     let step_s = if step_tokens == 0 {
         // Every resident sequence finished prefill with zero decode
         // tokens requested; charge one drain pass so completion time is
