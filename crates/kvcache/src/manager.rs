@@ -1053,6 +1053,27 @@ impl KvManager {
         Ok(())
     }
 
+    /// Tokens [`KvManager::append_tokens`] can add to `seq` without opening
+    /// a block: the least room left at any of its K/V cursors (0 when the
+    /// sequence is not resident). A caller may defer that many appends and
+    /// write them in one call, since no allocation decision depends on
+    /// token counts inside an open block.
+    pub fn append_room(&self, seq: u64) -> usize {
+        let Some(SeqKv { tokens: Some(_), cursors, .. }) = self.seqs.get(&seq) else {
+            return 0;
+        };
+        cursors
+            .iter()
+            .enumerate()
+            .map(|(slot, cursor)| {
+                cursor.map_or(0, |c| {
+                    self.cores(ROLES[slot % 2])[c.core_index].crossbars[c.crossbar].remaining(c.block, seq)
+                })
+            })
+            .min()
+            .unwrap_or(0)
+    }
+
     /// Releases every block of a sequence (completion or eviction), returning
     /// how many tokens were resident. Shared prefix blocks are dereferenced
     /// rather than freed; a shared block is freed only when its last sharer
@@ -1438,6 +1459,23 @@ mod tests {
             m.append_tokens(7, 1).unwrap();
         }
         assert_eq!(m.sequence_tokens(7), Some(96));
+    }
+
+    #[test]
+    fn append_room_counts_down_to_the_next_block_boundary() {
+        let mut m = manager(8, 2);
+        assert_eq!(m.append_room(7), 0, "a sequence that is not resident has no room");
+        m.admit(7, 200).unwrap();
+        assert_eq!(m.append_room(7), 56, "200 tokens leave 56 of the second 128-token block");
+        let blocks = m.block_audit().allocated;
+        m.append_tokens(7, 56).unwrap();
+        assert_eq!(m.append_room(7), 0);
+        assert_eq!(m.block_audit().allocated, blocks, "filling the open blocks allocates nothing");
+        m.append_tokens(7, 1).unwrap();
+        assert_eq!(m.append_room(7), 127);
+        assert_eq!(m.block_audit().allocated, blocks + 4, "one token opens a block per head and role");
+        m.release(7);
+        assert_eq!(m.append_room(7), 0);
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //! charges the step's wall-clock duration from the hardware-derived
 //! [`HwStageTimes`].
 //!
+//! Decode writes a sequence's KV to the manager once per block, not once
+//! per token. A token that fits the sequence's open K/V blocks is only
+//! counted in its active-set entry; when the blocks are full, the counted
+//! tokens are written back and the next token is appended, which opens the
+//! next blocks. Every allocation decision is block-granular, so none
+//! moves. Every reader of in-block token counts sees written-back state:
+//! the load and free-token signals add the unwritten tokens, and a
+//! release, a fault or a checkpoint writes them back first.
+//!
 //! The per-stage logic lives in [`crate::stage`]: [`Engine::step`] is the
 //! orchestrator that sequences the Admission → Prefill/Decode → Complete
 //! stages over this wafer's queues. Prefill and decode advance in a single
@@ -38,6 +47,7 @@ use ouro_kvcache::{KvError, KvManager, KvManagerConfig, KvTransferStats};
 use ouro_sim::HwStageTimes;
 use ouro_trace::{EventKind, Tracer};
 use ouro_workload::Request;
+use std::borrow::Cow;
 
 /// Tuning knobs of one engine (one wafer's replica).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,6 +186,12 @@ pub struct Engine {
     pub(crate) pending_wire_tokens: usize,
     pub(crate) stats: EngineStats,
     pub(crate) order_counter: u64,
+    /// Σ `unsynced` over the active set: decode tokens not yet written to
+    /// `manager`. Derived state, never checkpointed.
+    pub(crate) unsynced_tokens: usize,
+    /// Attention heads per sequence: the K-side token slots one decode
+    /// token takes.
+    pub(crate) kv_heads: usize,
     /// Lifecycle event emission, disabled (and costless) by default.
     /// Strictly observational: nothing the tracer does feeds back into
     /// admission, timing or eviction decisions.
@@ -191,6 +207,7 @@ impl Engine {
     pub fn new(times: HwStageTimes, kv: KvManagerConfig, config: EngineConfig) -> Result<Engine, KvError> {
         assert!(config.max_batch > 0, "max_batch must be positive");
         assert!(config.prefill_chunk > 0, "prefill_chunk must be positive");
+        let kv_heads = kv.heads;
         Ok(Engine {
             times,
             step_prices: stage::decode::StepPrices::default(),
@@ -206,6 +223,8 @@ impl Engine {
             pending_wire_tokens: 0,
             stats: EngineStats::default(),
             order_counter: 0,
+            unsynced_tokens: 0,
+            kv_heads,
             tracer: Tracer::off(),
         })
     }
@@ -256,8 +275,36 @@ impl Engine {
     /// KV pressure for routing: resident plus queued token demand relative to
     /// cache capacity (may exceed 1 under overload).
     pub fn kv_load(&self) -> f64 {
-        let demand = self.manager.used_tokens() + self.pending_tokens;
+        let demand = self.kv_used_tokens() + self.pending_tokens;
         demand as f64 / self.manager.capacity_tokens().max(1) as f64
+    }
+
+    /// K-side tokens in use, counting decode tokens not yet written back.
+    fn kv_used_tokens(&self) -> usize {
+        self.manager.used_tokens() + self.unsynced_tokens * self.kv_heads
+    }
+
+    /// Writes every active sequence's unsynced decode tokens to the
+    /// manager, before a reader of in-block token counts (a fault's
+    /// lost-KV tally) looks.
+    pub(crate) fn write_back_all(&mut self) {
+        for a in &mut self.active {
+            self.unsynced_tokens -= a.write_back(&mut self.manager);
+        }
+    }
+
+    /// The manager with every unsynced decode token written back: a
+    /// written-back clone when any is pending, the manager itself
+    /// otherwise. Checkpoints read this, since they cannot mutate the run.
+    pub(crate) fn synced_manager(&self) -> Cow<'_, KvManager> {
+        if self.unsynced_tokens == 0 {
+            return Cow::Borrowed(&self.manager);
+        }
+        let mut manager = self.manager.clone();
+        for mut a in self.active.iter().copied() {
+            a.write_back(&mut manager);
+        }
+        Cow::Owned(manager)
     }
 
     /// Earliest instant at which any queued request becomes admissible
@@ -296,7 +343,7 @@ impl Engine {
     pub fn kv_free_tokens(&self) -> usize {
         self.manager
             .capacity_tokens()
-            .saturating_sub(self.manager.used_tokens())
+            .saturating_sub(self.kv_used_tokens())
             .saturating_sub(self.pending_tokens)
     }
 
@@ -335,11 +382,11 @@ impl Engine {
     /// queue depth and KV-cache occupancy. The link-bytes gauge is left
     /// zero — only the scenario driver knows the migration byte rate.
     pub fn kv_gauges(&self) -> ouro_trace::WaferGauges {
-        let (used, capacity, audit) = self.manager.occupancy_snapshot();
+        let (_, capacity, audit) = self.manager.occupancy_snapshot();
         ouro_trace::WaferGauges {
             batch_occupancy: self.active.len(),
             queue_depth: self.pending.len(),
-            kv_used_tokens: used,
+            kv_used_tokens: self.kv_used_tokens(),
             kv_capacity_tokens: capacity,
             kv_blocks_live: audit.live,
             kv_blocks_shared: audit.shared_live,
@@ -390,6 +437,8 @@ impl Engine {
         mean_hops_penalty: f64,
     ) -> Option<EngineFaultImpact> {
         assert!(stall_s >= 0.0 && mean_hops_penalty >= 0.0, "fault charges cannot be negative");
+        // The lost-KV tally reads the failed crossbar's token counts.
+        self.write_back_all();
         let failure = self.manager.fail_kv_core(preferred_kv_core)?;
         // The fault strikes at `at_s` but the engine only observes it at a
         // step boundary; the stall extends whichever is later.
@@ -443,6 +492,7 @@ impl Engine {
         let mut evicted_seqs = 0usize;
         let mut evicted_tokens = 0u64;
         let mut first_core = None;
+        self.write_back_all();
         while let Some(failure) = self.manager.fail_kv_core(0) {
             first_core.get_or_insert(failure.index);
             evicted_tokens += failure.evicted_tokens as u64;
@@ -716,6 +766,108 @@ mod tests {
         assert_eq!(done + e.stats().dropped as usize, 40, "every request completes or is dropped");
         assert!(e.stats().evictions > 0, "a tiny cache must evict under this load");
         assert!(e.stats().recomputed_tokens > 0);
+    }
+
+    /// `e`'s manager with every unsynced decode token written back, built
+    /// here rather than through the engine's own write-back path.
+    fn written_back(e: &Engine) -> KvManager {
+        let mut m = e.manager.clone();
+        for a in e.active.iter().filter(|a| a.unsynced > 0) {
+            m.append_tokens(a.rec as u64, a.unsynced).expect("unsynced tokens fit the open blocks");
+        }
+        m
+    }
+
+    /// Every reader of the KV state sees the written-back manager, and the
+    /// deferred-write bookkeeping is self-consistent. Called after every
+    /// step, so it holds in release builds, where the debug asserts are
+    /// compiled out.
+    fn check_write_back(e: &Engine) {
+        let m = written_back(e);
+        let used = m.used_tokens();
+        let demand = (used + e.pending_tokens) as f64 / m.capacity_tokens().max(1) as f64;
+        assert_eq!(e.kv_load().to_bits(), demand.to_bits(), "kv_load");
+        assert_eq!(
+            e.kv_free_tokens(),
+            m.capacity_tokens().saturating_sub(used).saturating_sub(e.pending_tokens),
+            "kv_free_tokens"
+        );
+        assert_eq!(e.kv_gauges().kv_used_tokens, used, "kv_gauges");
+        assert_eq!(e.synced_manager().snapshot(), m.snapshot(), "a checkpoint sees the written-back state");
+        for a in &e.active {
+            assert_eq!(a.room + a.unsynced, e.manager.append_room(a.rec as u64), "room of record {}", a.rec);
+            assert_eq!(a.room, m.append_room(a.rec as u64));
+        }
+        assert_eq!(e.active.iter().map(|a| a.unsynced).sum::<usize>(), e.unsynced_tokens, "Σ unsynced");
+    }
+
+    /// Steps `e` once, checks the write-back view, and returns the number
+    /// of completions.
+    fn checked_step(e: &mut Engine) -> usize {
+        let done = e.step().len();
+        check_write_back(e);
+        done
+    }
+
+    /// Steps `e` until it has evicted since the call and a fault at one
+    /// of `cores` would take a crossbar holding unsynced tokens. Returns
+    /// the completions on the way and that core.
+    fn step_until_a_fault_would_lose_unsynced(e: &mut Engine, cores: &[usize]) -> (usize, usize) {
+        let lost = |mut m: KvManager, core: usize| m.fail_kv_core(core).expect("healthy crossbars remain");
+        let evictions = e.stats().evictions;
+        let mut completions = 0;
+        loop {
+            completions += checked_step(e);
+            if e.stats().evictions == evictions {
+                continue;
+            }
+            if let Some(&core) =
+                cores.iter().find(|&&c| lost(e.manager.clone(), c) != lost(written_back(e), c))
+            {
+                return (completions, core);
+            }
+        }
+    }
+
+    #[test]
+    fn block_granular_decode_writes_back_before_every_reader() {
+        // The overload shape above: decode growth evicts at block
+        // boundaries while other sequences hold tokens not yet written.
+        let mut e = engine(2);
+        for i in 0..40 {
+            e.submit_with(Request::new(i, 1000, 1000), 0.0, Admission::Local, i, 0);
+        }
+
+        // A fault mid-block: the lost-KV tally counts the unsynced tokens.
+        let (mut completions, core) = step_until_a_fault_would_lose_unsynced(&mut e, &[0, 1]);
+        let want = written_back(&e).fail_kv_core(core).expect("healthy crossbars remain");
+        let impact = e.apply_fault(e.clock_s(), 0.0, core, 0.0).expect("healthy crossbars remain");
+        assert_eq!(impact.kv_core_index, want.index);
+        assert_eq!(impact.evicted_sequences, want.evicted_sequences.len());
+        assert_eq!(impact.evicted_tokens, want.evicted_tokens as u64);
+        check_write_back(&e);
+
+        // Then a decommission mid-block, which fails every crossbar from
+        // core 0 on.
+        completions += step_until_a_fault_would_lose_unsynced(&mut e, &[0]).0;
+        let mut expected = written_back(&e);
+        let (mut want_seqs, mut want_tokens) = (0, 0u64);
+        while let Some(failure) = expected.fail_kv_core(0) {
+            want_seqs += failure.evicted_sequences.len();
+            want_tokens += failure.evicted_tokens as u64;
+            for seq in failure.evicted_sequences {
+                expected.release(seq);
+            }
+        }
+        assert_eq!(e.decommission(e.clock_s()), (want_seqs, want_tokens));
+        check_write_back(&e);
+        assert_eq!(e.unsynced_tokens, 0, "a dead wafer holds no sequence");
+
+        while e.has_work() {
+            completions += checked_step(&mut e);
+        }
+        assert_eq!(completions + e.stats().dropped as usize, 40, "every request completes or is dropped");
+        assert!(e.kv_audit().is_conserved());
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!   them empty.
 //! * The KV manager's **core bitmaps** — write-only observability state
 //!   (see [`ouro_kvcache::KvManagerSnapshot`]).
+//! * The **derived fields of each active sequence**: the record's lengths
+//!   and the decode tokens not yet written to the KV manager. `capture`
+//!   snapshots a manager with those tokens written back, and `rebuild`
+//!   recomputes the fields from the records and the restored manager.
 //!
 //! # Serialized form
 //!
@@ -138,7 +142,7 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
                 records: e.records.clone(),
                 pending: e.pending.entries(),
                 active: e.active.clone(),
-                kv: e.manager.snapshot(),
+                kv: e.synced_manager().snapshot(),
             })
             .collect(),
         injector: run.injector.as_ref().map(FaultInjector::snapshot),
@@ -155,8 +159,9 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// # Panics
 ///
-/// Panics on a schema-version, config-hash or wafer-count mismatch, or when
-/// the snapshot's fault state does not match the scenario's fault config.
+/// Panics on a schema-version, config-hash or wafer-count mismatch, when
+/// the snapshot's fault state does not match the scenario's fault config,
+/// or when an active sequence names a record the engine does not have.
 pub(crate) fn rebuild(
     scenario: &Scenario,
     system: &OuroborosSystem,
@@ -188,7 +193,7 @@ pub(crate) fn rebuild(
         for &(ready_s, req) in &es.pending {
             e.pending.push_back(ready_s, req);
         }
-        e.active = es.active.clone();
+        e.active = es.active.iter().map(|a| a.bind(&e.records[a.rec], &e.manager)).collect();
         e.admission_suspended = es.admission_suspended;
         e.clock_s = es.clock_s;
         e.busy_s = es.busy_s;
@@ -796,6 +801,7 @@ fn parse_engine_row(section: &str, row: &Row<'_>, e: &mut EngineSnapshot) -> Res
             decoded: p_usize(row.get("decoded")?)?,
             admission_order: p_u64(row.get("admission_order")?)?,
             prefill_only: p_bool(row.get("prefill_only")?)?,
+            ..ActiveSeq::default()
         }),
         "kv" => {
             e.kv.ring_next = [p_usize(row.get("ring_k")?)?, p_usize(row.get("ring_v")?)?];
@@ -1106,6 +1112,41 @@ mod tests {
         let b = Scenario::colocated(3);
         assert_eq!(config_hash(&a), config_hash(&a));
         assert_ne!(config_hash(&a), config_hash(&b));
+    }
+
+    #[test]
+    fn a_pinned_checkpoint_instant_writes_back_unsynced_decode_tokens() {
+        use crate::SloConfig;
+        use ouro_model::zoo;
+        use ouro_sim::OuroborosConfig;
+        use ouro_workload::{ArrivalConfig, LengthConfig, TraceGenerator};
+
+        // The "colocated-poisson" golden shape of `tests/checkpoint.rs`,
+        // probed at the instants `snapshot_v1_key_sets_are_pinned` pins
+        // digests for: at least one must capture KV that decode has not
+        // yet written to the manager, so those digests cover the
+        // write-back.
+        let sys = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap();
+        let trace = TraceGenerator::new(11).generate(&LengthConfig::fixed(96, 24), 36);
+        let timed = ArrivalConfig::Poisson { rate_rps: 300.0 }.assign(&trace, 11);
+        let mid_s = timed.last_arrival_s() * 0.5;
+        let scenario = Scenario::colocated(2)
+            .prefix_caching(false)
+            .slo(SloConfig { ttft_s: 0.5, tpot_s: 0.05 })
+            .workload(timed);
+        let mut run = scenario.start(&sys).unwrap();
+        let mut covered = 0;
+        for frac in [0.2, 0.6, 1.0, 1.4, 2.0] {
+            run.run_until(mid_s * frac);
+            let snap = capture(&scenario, &run);
+            for (e, es) in run.driver.engines.iter().zip(&snap.engines) {
+                if e.unsynced_tokens > 0 {
+                    assert_ne!(es.kv, e.manager.snapshot(), "the capture must write the tokens back");
+                    covered += 1;
+                }
+            }
+        }
+        assert!(covered > 0, "no probed instant holds unsynced decode tokens");
     }
 
     /// A complete `meta` row of an empty run.

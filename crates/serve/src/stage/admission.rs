@@ -109,13 +109,15 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                         EventKind::PrefillStart { tokens: prefill_charge },
                     );
                 }
-                e.active.push(ActiveSeq {
+                let seq = ActiveSeq {
                     rec: front.rec,
                     prefill_remaining: prefill_charge,
                     decoded: front.decoded,
                     admission_order: e.order_counter,
                     prefill_only: front.prefill_only,
-                });
+                    ..ActiveSeq::default()
+                };
+                e.active.push(seq.bind(&e.records[front.rec], &e.manager));
                 e.order_counter += 1;
             }
             Err(KvError::OutOfCapacity) => {
@@ -162,15 +164,17 @@ pub(crate) fn evict_most_recent(e: &mut Engine) {
 }
 
 /// Shared eviction bookkeeping: the victim's resident KV (prompt plus
-/// decode progress) is released and the request returns to the *front*
-/// of the queue keeping its progress. The recompute charge lands at
-/// re-admission (see [`crate::engine::EngineStats::recomputed_tokens`]),
-/// so a victim touched by both the capacity path and the fault path in
-/// one step is counted once, when the replay is actually scheduled.
-pub(crate) fn requeue_evicted(e: &mut Engine, victim: ActiveSeq, fault: bool) {
-    let resident = e.records[victim.rec].prompt_len + victim.decoded;
+/// decode progress) is written back and released, and the request returns
+/// to the *front* of the queue keeping its progress. The recompute charge
+/// lands at re-admission (see
+/// [`crate::engine::EngineStats::recomputed_tokens`]), so a victim touched
+/// by both the capacity path and the fault path in one step is counted
+/// once, when the replay is actually scheduled.
+pub(crate) fn requeue_evicted(e: &mut Engine, mut victim: ActiveSeq, fault: bool) {
+    let resident = victim.prompt_len + victim.decoded;
     e.stats.evictions += 1;
     e.records[victim.rec].evictions += 1;
+    e.unsynced_tokens -= victim.write_back(&mut e.manager);
     e.manager.release(victim.rec as u64);
     Stage::Admission.emit(
         &mut e.tracer,

@@ -12,29 +12,27 @@ use ouro_trace::EventKind;
 /// the completions stamped with their times.
 pub(crate) fn retire(e: &mut Engine, end_s: f64) -> Vec<Completion> {
     let mut completions = Vec::new();
-    let records = &mut e.records;
-    let manager = &mut e.manager;
-    let tracer = &mut e.tracer;
-    e.active.retain(|a| {
-        let r = &mut records[a.rec];
-        let done = a.prefill_remaining == 0 && (a.prefill_only || a.decoded >= r.decode_len);
-        if done {
-            r.completed_s = end_s;
-            if a.prefill_only {
-                // A disaggregated prefill hands its KV off instead of
-                // discarding it; the export counter feeds migration
-                // byte accounting.
-                manager.export_sequence(a.rec as u64).expect("prefill-only sequence is resident");
-                Stage::Migrate.emit(tracer, end_s, Some(r.id), EventKind::KvExport { tokens: r.prompt_len });
-            } else {
-                manager.release(a.rec as u64);
-                Stage::Complete.emit(tracer, end_s, Some(r.id), EventKind::Complete);
-            }
-            completions.push((a.rec, end_s));
-            false
-        } else {
-            true
+    let Engine { records, manager, tracer, active, unsynced_tokens, .. } = e;
+    active.retain_mut(|a| {
+        let done = a.prefill_remaining == 0 && (a.prefill_only || a.decoded >= a.decode_len);
+        if !done {
+            return true;
         }
+        *unsynced_tokens -= a.write_back(manager);
+        let r = &mut records[a.rec];
+        r.completed_s = end_s;
+        if a.prefill_only {
+            // A disaggregated prefill hands its KV off instead of
+            // discarding it; the export counter feeds migration byte
+            // accounting.
+            manager.export_sequence(a.rec as u64).expect("prefill-only sequence is resident");
+            Stage::Migrate.emit(tracer, end_s, Some(r.id), EventKind::KvExport { tokens: r.prompt_len });
+        } else {
+            manager.release(a.rec as u64);
+            Stage::Complete.emit(tracer, end_s, Some(r.id), EventKind::Complete);
+        }
+        completions.push((a.rec, end_s));
+        false
     });
     completions
 }

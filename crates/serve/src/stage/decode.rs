@@ -52,20 +52,18 @@ impl StepPrices {
 /// A step that moves `T` tokens with mean context `c̄` takes
 /// `max(L(c̄), T · b(c̄))` seconds: with few tokens in flight the pipeline
 /// drains before it refills, with many it streams one token per bottleneck
-/// interval. The context accumulation is order-sensitive floating point
-/// over the active set, so it stays one loop — splitting it per-stage
-/// would reorder the sum and perturb every golden. The two stage-time sums
-/// come from the engine's [`StepPrices`] memo.
+/// interval. The context sum is exact in any order: every addend is an
+/// integer and every partial sum stays far below 2^53. The loop reads
+/// only [`ActiveSeq`](super::ActiveSeq) fields, and the two stage-time
+/// sums come from the engine's [`StepPrices`] memo.
 pub(crate) fn plan_step(e: &mut Engine) -> (usize, f64) {
     let mut step_tokens = 0usize;
     let mut ctx_sum = 0.0f64;
     for a in &e.active {
-        let r = &e.records[a.rec];
-        let resident = r.prompt_len + a.decoded;
-        ctx_sum += resident as f64;
+        ctx_sum += (a.prompt_len + a.decoded) as f64;
         if a.prefill_remaining > 0 {
             step_tokens += a.prefill_remaining.min(e.config.prefill_chunk);
-        } else if !a.prefill_only && a.decoded < r.decode_len {
+        } else if !a.prefill_only && a.decoded < a.decode_len {
             step_tokens += 1;
         }
     }
@@ -92,26 +90,41 @@ pub(crate) fn emit_step(e: &mut Engine, end_s: f64, step_tokens: usize) {
 /// Advances active sequence `i` by one decode token (no-op for prefill-only
 /// or finished sequences). A KV-growth failure marks the sequence for
 /// eviction instead.
+///
+/// A token that fits the open K/V blocks is only counted here. Once they
+/// are full, the unsynced tokens are written back and the token goes to
+/// the manager as a one-token append, which opens the next blocks: the
+/// allocation, or an `OutOfCapacity` eviction, lands at the same step and
+/// in the same active-set order as when every token was appended.
 pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mut Vec<usize>) {
-    let a = e.active[i];
-    if a.prefill_only {
-        return; // completes in the Complete stage; decode happens on another wafer
+    let a = &mut e.active[i];
+    if a.prefill_only || a.decoded >= a.decode_len {
+        // Prefill-only sequences decode on another wafer, zero-decode ones
+        // complete as they are; both retire in the Complete stage.
+        return;
     }
-    let r = &e.records[a.rec];
-    if a.decoded >= r.decode_len {
-        return; // zero-decode request: completes in the Complete stage
-    }
-    match e.manager.append_tokens(a.rec as u64, 1) {
-        Ok(()) => {
-            e.active[i].decoded += 1;
-            let rec = &mut e.records[a.rec];
-            if rec.first_token_s.is_nan() {
-                rec.first_token_s = end_s;
-                let id = rec.id;
-                Stage::Decode.emit(&mut e.tracer, end_s, Some(id), EventKind::FirstToken);
+    if a.room > 0 {
+        a.room -= 1;
+        a.unsynced += 1;
+        e.unsynced_tokens += 1;
+    } else {
+        e.unsynced_tokens -= a.write_back(&mut e.manager);
+        match e.manager.append_tokens(a.rec as u64, 1) {
+            Ok(()) => a.room = e.manager.append_room(a.rec as u64),
+            Err(KvError::OutOfCapacity) => {
+                evicted_now.push(i);
+                return;
             }
+            Err(err) => panic!("unexpected kv error during decode: {err}"),
         }
-        Err(KvError::OutOfCapacity) => evicted_now.push(i),
-        Err(err) => panic!("unexpected kv error during decode: {err}"),
+    }
+    a.decoded += 1;
+    debug_assert_eq!(a.room + a.unsynced, e.manager.append_room(a.rec as u64), "decode room drifted");
+    if a.decoded == 1 {
+        let rec = &mut e.records[a.rec];
+        debug_assert!(rec.first_token_s.is_nan(), "a first token is emitted once");
+        rec.first_token_s = end_s;
+        let id = rec.id;
+        Stage::Decode.emit(&mut e.tracer, end_s, Some(id), EventKind::FirstToken);
     }
 }

@@ -50,6 +50,8 @@ pub(crate) mod decode;
 pub(crate) mod migrate;
 pub(crate) mod prefill;
 
+use crate::metrics::RequestRecord;
+use ouro_kvcache::KvManager;
 use ouro_trace::{EventKind, Tracer};
 use ouro_workload::TimedTrace;
 use rand::rngs::StdRng;
@@ -232,7 +234,13 @@ impl StageQueues {
 
 /// A sequence resident in the KV cache — the prefill/decode stages'
 /// per-engine work set.
-#[derive(Debug, Clone, Copy)]
+///
+/// The last four fields are derived hot state, never checkpointed: the
+/// record's lengths, so the step loop reads no record, and the decode
+/// tokens not yet written to the KV manager. Decode writes a sequence's
+/// KV once per block, not once per token; the invariant is
+/// `room + unsynced == manager.append_room(rec)`.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ActiveSeq {
     /// Index into the engine's record table.
     pub(crate) rec: usize,
@@ -245,6 +253,39 @@ pub(crate) struct ActiveSeq {
     /// Disaggregated prefill: the sequence completes (and exports its KV)
     /// when prefill finishes, emitting no decode tokens here.
     pub(crate) prefill_only: bool,
+    /// The record's prompt length.
+    pub(crate) prompt_len: usize,
+    /// The record's decode length.
+    pub(crate) decode_len: usize,
+    /// Decode tokens the open K/V blocks can still take after `unsynced`.
+    pub(crate) room: usize,
+    /// Decode tokens counted here but not yet written to the KV manager.
+    pub(crate) unsynced: usize,
+}
+
+impl ActiveSeq {
+    /// Fills the derived fields of a sequence just made resident in
+    /// `manager`, from its record `r`; nothing is unsynced yet.
+    pub(crate) fn bind(self, r: &RequestRecord, manager: &KvManager) -> ActiveSeq {
+        ActiveSeq {
+            prompt_len: r.prompt_len,
+            decode_len: r.decode_len,
+            room: manager.append_room(self.rec as u64),
+            unsynced: 0,
+            ..self
+        }
+    }
+
+    /// Writes the unsynced decode tokens to `manager` and returns how many
+    /// there were. They fit the open blocks by construction, so nothing is
+    /// allocated and no allocation decision moves.
+    pub(crate) fn write_back(&mut self, manager: &mut KvManager) -> usize {
+        let tokens = std::mem::take(&mut self.unsynced);
+        if tokens > 0 {
+            manager.append_tokens(self.rec as u64, tokens).expect("unsynced tokens fit the open blocks");
+        }
+        tokens
+    }
 }
 
 /// A request waiting for admission (fresh, evicted with progress, or an
